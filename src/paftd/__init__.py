@@ -3,20 +3,13 @@ frameworks, with a tree-decomposition based dynamic programming solver."""
 
 from .core import (
     AF,
-    IN,
-    OUT,
     PAF,
-    UND,
-    Labeling,
     Subframework,
     defends,
     extensions,
     grounded_extension,
     is_certain_respecting,
     is_conflict_free,
-    labeling_of_set,
-    labelings,
-    set_of_labeling,
     subframework_probability,
 )
 from .errors import BudgetExceeded, CapacityError, InputError, PaftdError
@@ -51,10 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AF",
     "PAF",
-    "IN",
-    "OUT",
-    "UND",
-    "Labeling",
     "Subframework",
     "PaftdError",
     "InputError",
@@ -65,9 +54,6 @@ __all__ = [
     "grounded_extension",
     "is_certain_respecting",
     "is_conflict_free",
-    "labeling_of_set",
-    "labelings",
-    "set_of_labeling",
     "subframework_probability",
     "GridSpec",
     "generate_grid",

@@ -96,50 +96,38 @@ def _cmd_solve(args) -> int:
     if td is not None and not isinstance(td, treedecomp.NiceTreeDecomposition):
         td = treedecomp.make_nice(td)
 
-    multiplier = Fraction(1)
-    preprocessed = "off"
-    if args.preprocess == "on" and sigma == "com" and td is None:
-        reduction = preprocess.simplify_for_ext(paf, S)
-        if reduction.zero:
-            record = {
-                **_answer_fields(Fraction(0) if args.mode == "rational" else 0.0, args.mode),
-                "mode": args.mode,
-                "semantics": args.semantics,
-                "width": None,
-                "nodes": None,
-                "preprocess": "zero",
-                "wallMillis": int((time.monotonic() - started) * 1000),
-            }
-            _emit(record)
-            return EXIT_OK
-        paf = reduction.paf
-        multiplier = reduction.multiplier
-        preprocessed = "on"
+    solved = []
 
-    result = solver.solve(
-        paf,
-        sigma,
-        S,
-        mode=args.mode,
-        td=td,
-        heuristic=args.heuristic,
-        order=_parse_order(args.order),
-        trace=args.trace,
-        deadline=deadline,
+    def engine(instance):
+        solved.append(
+            solver.solve(
+                instance,
+                sigma,
+                S,
+                mode=args.mode,
+                td=td,
+                heuristic=args.heuristic,
+                order=_parse_order(args.order),
+                trace=args.trace,
+                deadline=deadline,
+            )
+        )
+        return solved[0].value
+
+    value, status = preprocess.query_ext(
+        paf, sigma, S, engine, mode=args.mode, enabled=args.preprocess == "on", td=td
     )
-    value = result.value
-    if multiplier != 1:
-        value = value * (float(multiplier) if args.mode == "float" else multiplier)
+    result = solved[0] if solved else None
     record = {
         **_answer_fields(value, args.mode),
         "mode": args.mode,
         "semantics": args.semantics,
-        "width": result.width,
-        "nodes": result.node_count,
-        "preprocess": preprocessed,
+        "width": result.width if result else None,
+        "nodes": result.node_count if result else None,
+        "preprocess": status,
         "wallMillis": int((time.monotonic() - started) * 1000),
     }
-    if args.trace:
+    if args.trace and result:
         record["trace"] = result.trace
     _emit(record)
     return EXIT_OK
@@ -169,19 +157,13 @@ def _cmd_oracle(args) -> int:
     elif len(queries) > 1:
         raise InputError("pass exactly one of --ext/--acc/--count-ext/--count-acc")
 
-    multiplier = Fraction(1)
     if args.ext is not None:
         S = _parse_set(args.ext)
-        if args.preprocess == "on" and sigma == "com":
-            reduction = preprocess.simplify_for_ext(paf, S)
-            if reduction.zero:
-                value = Fraction(0)
-            else:
-                value = reduction.multiplier * oracle.p_ext_oracle(
-                    reduction.paf, sigma, S, cap=args.cap, deadline=deadline
-                )
-        else:
-            value = oracle.p_ext_oracle(paf, sigma, S, cap=args.cap, deadline=deadline)
+
+        def engine(instance):
+            return oracle.p_ext_oracle(instance, sigma, S, cap=args.cap, deadline=deadline)
+
+        value, _ = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on")
         fields = _answer_fields(value, "rational")
     elif args.acc is not None:
         if args.preprocess == "on" and preprocess.simplify_for_acc(paf, args.acc):
@@ -214,7 +196,7 @@ def _cmd_preprocess(args) -> int:
     record = {
         "forcedIn": sorted(forced.forced_in),
         "forcedOut": sorted(forced.forced_out),
-        "wallMillis": int((time.monotonic() - started) * 1000),
+        "wallMillis": None,  # filled in last, so it covers the whole command
     }
     S = _parse_set(args.set) if args.set is not None else doc.query_set
     if S is not None:
@@ -226,6 +208,7 @@ def _cmd_preprocess(args) -> int:
             record["removed"] = sorted(
                 set(paf.af.arguments) - set(reduction.paf.af.arguments)
             )
+    record["wallMillis"] = int((time.monotonic() - started) * 1000)
     _emit(record)
     return EXIT_OK
 

@@ -6,8 +6,9 @@ marginal probability to every argument and attack; a concrete scenario is a
 product of the marginals of everything present (and one minus the marginal of
 everything that could be present but is not).
 
-Extensions and labelings are computed by plain enumeration here; faster code
-paths live in :mod:`paftd.oracle` and :mod:`paftd.solver`.
+Extensions are computed by plain enumeration here, as the independent
+reference the faster code paths in :mod:`paftd.oracle` and
+:mod:`paftd.solver` are tested against.
 """
 
 from __future__ import annotations
@@ -16,17 +17,11 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import CapacityError, InputError
 
-IN = "I"
-OUT = "O"
-UND = "U"
-LABELS = (IN, OUT, UND)
-
 EXTENSION_SEMANTICS = ("cf", "adm", "com", "stb", "grd")
-LABELING_SEMANTICS = ("adm", "com", "stb")
 
 Attack = tuple[str, str]
 
@@ -34,7 +29,6 @@ _NAME_RE = re.compile(r"^(?!#)[^\s,]+$")
 
 # enumeration guards; subset enumeration is exponential in |A|
 MAX_ENUM_ARGUMENTS = 20
-MAX_ENUM_LABELINGS = 14
 
 
 def is_valid_arg_name(name: str) -> bool:
@@ -127,52 +121,6 @@ class AF:
         return f"AF({list(self.arguments)}, {sorted(self.attacks)})"
 
 
-class Labeling:
-    """A (possibly partial) assignment of I/O/U labels to arguments."""
-
-    __slots__ = ("assignment",)
-
-    def __init__(self, assignment):
-        assignment = dict(assignment)
-        for a, lab in assignment.items():
-            if lab not in LABELS:
-                raise InputError(f"invalid label {lab!r} for {a!r}")
-        self.assignment = assignment
-
-    def in_args(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.assignment.items() if l == IN)
-
-    def out_args(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.assignment.items() if l == OUT)
-
-    def und_args(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.assignment.items() if l == UND)
-
-    def triple(self):
-        return self.in_args(), self.out_args(), self.und_args()
-
-    def is_total(self, af: AF) -> bool:
-        return set(self.assignment) == set(af.arguments)
-
-    def __getitem__(self, a: str) -> str:
-        return self.assignment[a]
-
-    def __contains__(self, a: str) -> bool:
-        return a in self.assignment
-
-    def __eq__(self, other):
-        if not isinstance(other, Labeling):
-            return NotImplemented
-        return self.assignment == other.assignment
-
-    def __hash__(self):
-        return hash(frozenset(self.assignment.items()))
-
-    def __repr__(self):
-        items = ", ".join(f"{a}->{l}" for a, l in sorted(self.assignment.items()))
-        return f"Labeling({items})"
-
-
 def is_conflict_free(af: AF, S) -> bool:
     """True iff no attack runs between two members of S (self-attacks count)."""
     S = af.check_subset(S)
@@ -239,61 +187,6 @@ def grounded_extension(af: AF) -> frozenset[str]:
         if T == S:
             return S
         S = T
-
-
-def labeling_of_set(af: AF, S) -> Labeling:
-    """The labeling corresponding to a conflict-free set: members are I,
-    arguments attacked by S are O, everything else is U."""
-    S = af.check_subset(S)
-    if not is_conflict_free(af, S):
-        raise InputError(f"set {sorted(S)} is not conflict-free")
-    attacked = _attacked_by(af, S)
-    return Labeling(
-        {a: IN if a in S else OUT if a in attacked else UND for a in af.arguments}
-    )
-
-
-def set_of_labeling(labeling: Labeling) -> frozenset[str]:
-    """The extension corresponding to a total labeling: its I-labeled arguments."""
-    return labeling.in_args()
-
-
-def labelings(af: AF, sigma: str) -> frozenset[Labeling]:
-    """All total labelings satisfying the sigma labeling conditions."""
-    if sigma not in LABELING_SEMANTICS:
-        raise InputError(f"unknown labeling semantics {sigma!r}")
-    n = len(af.arguments)
-    if n > MAX_ENUM_LABELINGS:
-        raise CapacityError(
-            f"labeling enumeration capped at {MAX_ENUM_LABELINGS} arguments"
-        )
-    found = set()
-    for labels in product(LABELS, repeat=n):
-        lab = dict(zip(af.arguments, labels))
-        if _satisfies_labeling(af, lab, sigma):
-            found.add(Labeling(lab))
-    return frozenset(found)
-
-
-def _satisfies_labeling(af: AF, lab: dict[str, str], sigma: str) -> bool:
-    for a in af.arguments:
-        l = lab[a]
-        if l == IN:
-            if any(lab[b] != OUT for b in af.attackers(a)):
-                return False
-        elif l == OUT:
-            if not any(lab[b] == IN for b in af.attackers(a)):
-                return False
-        else:  # UND
-            if sigma == "stb":
-                return False
-            if sigma == "com":
-                atks = af.attackers(a)
-                if any(lab[b] == IN for b in atks):
-                    return False
-                if not any(lab[b] == UND for b in atks):
-                    return False
-    return True
 
 
 class PAF:

@@ -157,9 +157,9 @@ class _Scenario:
                 return S
             S = T
 
-    def accepts(self, a: int, sigma: str) -> bool:
-        """Credulous acceptance: some sigma-extension contains argument ``a``."""
-        abit = 1 << a
+    def accepts(self, abit: int, sigma: str) -> bool:
+        """Credulous acceptance: some sigma-extension contains the argument
+        whose bit is ``abit``."""
         if not self.present & abit:
             return False
         if sigma == "grd":
@@ -174,11 +174,19 @@ class _Scenario:
             sub = (sub - 1) & rest
 
 
-def _prepare(paf: PAF, sigma: str, cap: int):
+def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bool):
+    """Sum the probabilities (``weighted``) or count the scenarios in which
+    ``holds(scenario, mask of members, sigma)`` is true."""
     if sigma not in ORACLE_SEMANTICS:
         raise InputError(f"unknown semantics {sigma!r}")
     _check_capacity(paf, cap)
-    return {a: i for i, a in enumerate(paf.af.arguments)}
+    index = {a: i for i, a in enumerate(paf.af.arguments)}
+    mask = sum(1 << index[a] for a in paf.af.check_subset(members))
+    total = Fraction(0) if weighted else 0
+    for present, atts, p in _iter_scenarios(paf, deadline):
+        if holds(_Scenario(index, present, atts), mask, sigma):
+            total += p if weighted else 1
+    return total
 
 
 def p_ext_oracle(
@@ -189,14 +197,7 @@ def p_ext_oracle(
     deadline=None,
 ) -> Fraction:
     """Probability that S is a sigma-extension, summed over all scenarios."""
-    index = _prepare(paf, sigma, cap)
-    S = paf.af.check_subset(S)
-    smask = sum(1 << index[a] for a in S)
-    total = Fraction(0)
-    for present, atts, p in _iter_scenarios(paf, deadline):
-        if _Scenario(index, present, atts).is_extension(smask, sigma):
-            total += p
-    return total
+    return _fold(paf, sigma, S, cap, deadline, _Scenario.is_extension, weighted=True)
 
 
 def p_acc_oracle(
@@ -207,14 +208,7 @@ def p_acc_oracle(
     deadline=None,
 ) -> Fraction:
     """Probability that some sigma-extension contains ``a``."""
-    index = _prepare(paf, sigma, cap)
-    paf.af._check_member(a)
-    ai = index[a]
-    total = Fraction(0)
-    for present, atts, p in _iter_scenarios(paf, deadline):
-        if _Scenario(index, present, atts).accepts(ai, sigma):
-            total += p
-    return total
+    return _fold(paf, sigma, (a,), cap, deadline, _Scenario.accepts, weighted=True)
 
 
 def count_ext(
@@ -225,14 +219,7 @@ def count_ext(
     deadline=None,
 ) -> int:
     """Number of scenarios in which S is a sigma-extension."""
-    index = _prepare(paf, sigma, cap)
-    S = paf.af.check_subset(S)
-    smask = sum(1 << index[a] for a in S)
-    count = 0
-    for present, atts, _ in _iter_scenarios(paf, deadline):
-        if _Scenario(index, present, atts).is_extension(smask, sigma):
-            count += 1
-    return count
+    return _fold(paf, sigma, S, cap, deadline, _Scenario.is_extension, weighted=False)
 
 
 def count_acc(
@@ -243,11 +230,4 @@ def count_acc(
     deadline=None,
 ) -> int:
     """Number of scenarios in which some sigma-extension contains ``a``."""
-    index = _prepare(paf, sigma, cap)
-    paf.af._check_member(a)
-    ai = index[a]
-    count = 0
-    for present, atts, _ in _iter_scenarios(paf, deadline):
-        if _Scenario(index, present, atts).accepts(ai, sigma):
-            count += 1
-    return count
+    return _fold(paf, sigma, (a,), cap, deadline, _Scenario.accepts, weighted=False)

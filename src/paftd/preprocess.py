@@ -4,7 +4,8 @@ A least fixed point propagates labels that hold in *every* scenario: an
 argument is forced in when all of its attackers (over the full attack
 relation, certain or not) are already forced out, and forced out when a
 certain, forced-in attacker reaches it through a certain attack.  Forced
-labels license sound query simplifications for the complete semantics.
+labels license sound query simplifications for the complete semantics, and
+:func:`query_ext` is the one P-Ext query path that applies them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .core import PAF
 
-__all__ = ["ForcedLabeling", "forced_labeling", "simplify_for_ext", "simplify_for_acc", "ExtSimplification"]
+__all__ = ["ForcedLabeling", "forced_labeling", "simplify_for_ext", "simplify_for_acc", "ExtSimplification", "query_ext"]
 
 
 @dataclass(frozen=True)
@@ -96,3 +97,24 @@ def simplify_for_acc(paf: PAF, a: str) -> bool:
     """True iff the acceptance probability of ``a`` is provably zero."""
     paf.af._check_member(a)
     return a in forced_labeling(paf).forced_out
+
+
+def query_ext(paf: PAF, sigma: str, S, engine, mode: str = "rational", enabled: bool = True, td=None):
+    """Answer a P-Ext query, simplifying it first where that is sound.
+
+    ``engine(instance)`` returns the probability that S is a sigma-extension
+    of ``instance``.  Preprocessing runs only when ``enabled``, for the
+    complete semantics, and when no ``td`` is given (a TD describes the
+    unreduced graph).  A zero outcome is answered without the engine;
+    otherwise the engine's value is scaled by the reduction's multiplier,
+    converted to float in float ``mode``.
+
+    Returns ``(value, status)`` with status ``"off"``, ``"on"`` or ``"zero"``.
+    """
+    if not enabled or sigma != "com" or td is not None:
+        return engine(paf), "off"
+    reduction = simplify_for_ext(paf, S)
+    if reduction.zero:
+        return (0.0 if mode == "float" else Fraction(0)), "zero"
+    scale = float(reduction.multiplier) if mode == "float" else reduction.multiplier
+    return engine(reduction.paf) * scale, "on"

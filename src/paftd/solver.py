@@ -20,8 +20,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AF, IN, OUT, PAF, UND
+from .core import PAF
 from .errors import BudgetExceeded, InputError
+from .preprocess import query_ext
 from .treedecomp import (
     FORGET,
     INTRO,
@@ -38,6 +39,11 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _mpq = None
 
 DP_SEMANTICS = ("adm", "com", "stb")
+
+# the three labels a row assigns to its bag arguments
+IN = "I"
+OUT = "O"
+UND = "U"
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,21 @@ def _converter(mode: str):
 
 
 def p_ext(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
-    """Probability that S is a sigma-extension (root row of the DP)."""
-    return solve(paf, sigma, S, mode=mode, td=td).value
+    """Probability that S is a sigma-extension.
+
+    Applies the forced-label preprocessing of ``paftd solve`` (complete
+    semantics, no ``td`` given) before the DP; :func:`solve` is the raw DP.
+    """
+    _converter(mode)  # reject an unknown mode even when preprocessing alone answers
+
+    def engine(instance):
+        return solve(instance, sigma, S, mode=mode, td=td).value
+
+    return query_ext(paf, sigma, S, engine, mode=mode, td=td)[0]
 
 
 def solve_with_trace(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
-    """Like :func:`p_ext` but also returns the per-node table dump."""
+    """Like :func:`solve` but returns the value and the per-node table dump."""
     result = solve(paf, sigma, S, mode=mode, td=td, trace=True)
     return result.value, result.trace
 

@@ -13,9 +13,6 @@ from paftd import (
     grounded_extension,
     is_certain_respecting,
     is_conflict_free,
-    labeling_of_set,
-    labelings,
-    set_of_labeling,
     subframework_probability,
 )
 from paftd.core import as_probability
@@ -78,22 +75,6 @@ def test_grounded_matches_minimal_complete():
         af = paf.af
         assert frozenset(grounded_extension(af)) in extensions(af, "grd")
         assert extensions(af, "grd") <= extensions(af, "com")
-
-
-def test_labeling_set_correspondence():
-    af = simple_af()
-    lab = labeling_of_set(af, {"a", "c"})
-    assert lab.triple() == ({"a", "c"}, {"b"}, frozenset())
-    assert set_of_labeling(lab) == {"a", "c"}
-
-
-def test_labelings_match_extensions_for_com_and_stb():
-    rnd = random.Random(5)
-    for _ in range(20):
-        af = random_paf(rnd, max_args=5).af
-        for sigma in ("com", "stb"):
-            from_labelings = {set_of_labeling(lab) for lab in labelings(af, sigma)}
-            assert from_labelings == extensions(af, sigma)
 
 
 def test_as_probability_rejects_floats_and_out_of_range():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import paftd
 from paftd import (
     AF,
     PAF,
     CapacityError,
+    InputError,
     count_acc,
     count_ext,
     enumerate_subframeworks,
@@ -107,3 +109,41 @@ def test_cycle5_oracle_values(cycle5):
     assert p_ext_oracle(cycle5, "stb", S) == Fraction(18, 25)
     assert p_acc_oracle(cycle5, "com", "e") == Fraction(4923, 5000)
     assert p_acc_oracle(cycle5, "grd", "e") == Fraction(1, 2)
+
+
+# (entry point, a query that never holds, one that holds when b is present,
+#  its result, and a query naming an unknown argument)
+ENTRY_POINTS = [
+    (p_ext_oracle, {"s"}, {"b"}, Fraction(1, 2), {"zz"}),
+    (p_acc_oracle, "s", "b", Fraction(1, 2), "zz"),
+    (count_ext, {"s"}, {"b"}, 1, {"zz"}),
+    (count_acc, "s", "b", 1, "zz"),
+]
+
+
+@pytest.mark.parametrize("fn, never, hit, expected, unknown", ENTRY_POINTS)
+def test_entry_point_contract(fn, never, hit, expected, unknown):
+    # s attacks itself, so it is never accepted; b is present with probability 1/2
+    af = AF(["a", "b", "s"], [("b", "a"), ("s", "s")])
+    paf = PAF(af, {"a": 1, "b": Fraction(1, 2), "s": 1}, {("b", "a"): 1, ("s", "s"): 1})
+    kind = Fraction if fn.__name__.startswith("p_") else int
+    for query, want in ((never, 0), (hit, expected)):
+        result = fn(paf, "com", query)
+        assert result == want
+        assert type(result) is kind
+    with pytest.raises(InputError):
+        fn(paf, "com", unknown)
+    with pytest.raises(InputError):
+        fn(paf, "pref", hit)
+
+    names = ["b"] + [f"x{i}" for i in range(30)]
+    big = PAF(AF(names), {a: Fraction(1, 2) for a in names}, {})
+    with pytest.raises(CapacityError):
+        fn(big, "com", unknown)
+    with pytest.raises(InputError, match="semantics"):
+        fn(big, "pref", unknown)
+
+
+def test_every_export_resolves():
+    for name in paftd.__all__:
+        assert getattr(paftd, name) is not None, name
