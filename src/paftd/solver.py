@@ -4,6 +4,13 @@ Tables are computed bottom-up.  A row pairs a bag-local structure (present
 arguments, present attacks, labeling) with witness flags (which arguments
 have seen an in-labeled attacker, resp. an undecided attacker) and the
 accumulated probability mass of all compatible completions below the node.
+That mass covers only the elements already forgotten: each argument's
+factor, with those of its uncertain attacks to arguments still in the bag,
+is multiplied in once, at the forget node where it leaves the bag.  The
+children of a join have therefore forgotten disjoint element sets, and a
+joined row's mass is the plain product of the two.  The ``--trace`` dump
+renders the bag-local factors back in, so its ``p=`` values are the mass of
+every element introduced below the node.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -32,11 +39,6 @@ from .treedecomp import (
     decompose,
     make_nice,
 )
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _mpq = None
 
 DP_SEMANTICS = ("adm", "com", "stb")
 
@@ -72,8 +74,6 @@ def _converter(mode: str):
     if mode == "float":
         return float
     if mode == "rational":
-        if _mpq is not None:
-            return lambda f: _mpq(f.numerator, f.denominator)
         return lambda f: f
     raise InputError(f"unknown arithmetic mode {mode!r}")
 
@@ -139,7 +139,7 @@ def solve(
         else:
             left = tables.pop(node.children[0])
             right = tables.pop(node.children[1])
-            rows = _join(left, right, node.bag, ctx)
+            rows = _join(left, right)
         tables[t] = rows
         stats[t] = NodeStats(
             node.kind,
@@ -148,14 +148,11 @@ def solve(
             len(rows),
         )
         if trace_lines is not None:
-            trace_lines.extend(_dump(t, rows, mode))
+            trace_lines.extend(_dump(t, rows, node.bag, ctx, mode))
 
-    root_rows = tables[td.root]
     value = ctx.zero
-    for row in root_rows:
+    for row in tables[td.root]:
         value = value + row[5]
-    if mode == "rational" and not isinstance(value, Fraction):
-        value = Fraction(int(value.numerator), int(value.denominator))
     return SolveResult(
         value,
         sigma,
@@ -197,6 +194,18 @@ class _Context:
             seen.update(self.incident[a])
         return sorted(seen)
 
+    def factor(self, a: str, present, atts):
+        """Probability factor of ``a`` in a row's structure: its presence or
+        absence, and, if present, each uncertain attack between ``a`` and the
+        other ``present`` arguments.  Applied once, where ``a`` is forgotten."""
+        if a not in present:
+            return self.one - self.parg[a]
+        factor = self.parg[a]
+        for r in self.incident[a]:
+            if r[0] in present and r[1] in present and not self.att_certain[r]:
+                factor = factor * (self.patt[r] if r in atts else self.one - self.patt[r])
+        return factor
+
     def labels_for(self, a: str):
         if a in self.S:
             return (IN,)
@@ -207,14 +216,12 @@ class _Context:
 
 def _introduce(rows, a, bag, ctx: _Context):
     out = []
-    p_a = ctx.parg[a]
     certain_a = ctx.arg_certain[a]
-    one = ctx.one
-    complement = one - p_a
     s_bag = ctx.S & bag
-    for present, atts, lab, ow, uw, p in rows:
+    for row in rows:
+        present, atts, lab, ow, uw, p = row
         if not certain_a:
-            out.append((present, atts, lab, ow, uw, p * complement))
+            out.append(row)
 
         labd = dict(lab)
         incident = [
@@ -226,14 +233,7 @@ def _introduce(rows, a, bag, ctx: _Context):
         optional = [r for r in incident if not ctx.att_certain[r]]
 
         for rmask in range(1 << len(optional)):
-            factor = p_a
-            chosen = list(forced)
-            for i, r in enumerate(optional):
-                if rmask >> i & 1:
-                    chosen.append(r)
-                    factor = factor * ctx.patt[r]
-                else:
-                    factor = factor * (one - ctx.patt[r])
+            chosen = forced + tuple(r for i, r in enumerate(optional) if rmask >> i & 1)
             for label_a in ctx.labels_for(a):
                 labd[a] = label_a
                 # conflict discipline: every neighbor of an in-label is out
@@ -259,7 +259,7 @@ def _introduce(rows, a, bag, ctx: _Context):
                         tuple(sorted(labd.items())),
                         frozenset(new_ow),
                         frozenset(new_uw),
-                        p * factor,
+                        p,
                     )
                 )
         del labd[a]
@@ -271,6 +271,7 @@ def _introduce(rows, a, bag, ctx: _Context):
 
 def _forget(rows, a, ctx: _Context):
     merged: dict[tuple, object] = {}
+    factors: dict[tuple, object] = {}
     com = ctx.sigma == "com"
     for present, atts, lab, ow, uw, p in rows:
         if a in present:
@@ -279,6 +280,11 @@ def _forget(rows, a, ctx: _Context):
                 continue
             if label_a == UND and com and a not in uw:
                 continue
+        factor = factors.get((present, atts))
+        if factor is None:
+            factor = factors[present, atts] = ctx.factor(a, present, atts)
+        p = p * factor
+        if a in present:
             present = present - {a}
             atts = frozenset(r for r in atts if a not in r)
             lab = tuple(item for item in lab if item[0] != a)
@@ -292,33 +298,14 @@ def _forget(rows, a, ctx: _Context):
     return [key + (p,) for key, p in merged.items()]
 
 
-def _join(left, right, bag, ctx: _Context):
+def _join(left, right):
     by_structure: dict[tuple, list] = {}
     for row in right:
         by_structure.setdefault(row[:3], []).append(row)
-    possible = ctx.bag_attacks(bag)
-    commons: dict[tuple, object] = {}
     out = []
     for present, atts, lab, ow1, uw1, p1 in left:
-        skey = (present, atts, lab)
-        matches = by_structure.get(skey)
-        if not matches:
-            continue
-        common = commons.get(skey)
-        if common is None:
-            common = ctx.one
-            for x in present:
-                common = common * ctx.parg[x]
-            for x in bag - present:
-                common = common * (ctx.one - ctx.parg[x])
-            for r in atts:
-                common = common * ctx.patt[r]
-            for r in possible:
-                if r not in atts and r[0] in present and r[1] in present:
-                    common = common * (ctx.one - ctx.patt[r])
-            commons[skey] = common
-        for _, _, _, ow2, uw2, p2 in matches:
-            out.append((present, atts, lab, ow1 | ow2, uw1 | uw2, p1 * p2 / common))
+        for _, _, _, ow2, uw2, p2 in by_structure.get((present, atts, lab), ()):
+            out.append((present, atts, lab, ow1 | ow2, uw1 | uw2, p1 * p2))
     return out
 
 
@@ -326,11 +313,16 @@ def _format_value(p, mode: str) -> str:
     return repr(p) if mode == "float" else str(p)
 
 
-def _dump(node_id: int, rows, mode: str) -> list[str]:
+def _dump(node_id: int, rows, bag, ctx: _Context, mode: str) -> list[str]:
     lines = []
     for present, atts, lab, ow, uw, p in sorted(
         rows, key=lambda r: (sorted(r[0]), sorted(r[1]), r[2], sorted(r[3]), sorted(r[4]))
     ):
+        # render the mass of the whole subtree: forget the bag in sorted order
+        remaining = present
+        for a in sorted(bag):
+            p = p * ctx.factor(a, remaining, atts)
+            remaining = remaining - {a}
         labd = dict(lab)
         ins = ",".join(sorted(x for x, l in labd.items() if l == IN))
         outs = ",".join(sorted(x for x, l in labd.items() if l == OUT))

@@ -151,6 +151,10 @@ def _validate_bags(bags, children, root, af: AF) -> list[str]:
         violations.append("tree is not connected or has unreachable nodes")
         return violations
 
+    holders: dict[str, set[int]] = {}
+    for t, b in bags.items():
+        for a in b:
+            holders.setdefault(a, set()).add(t)
     covered = set().union(*bags.values()) if bags else set()
     for a in af.arguments:
         if a not in covered:
@@ -158,16 +162,16 @@ def _validate_bags(bags, children, root, af: AF) -> list[str]:
     for a in covered - set(af.arguments):
         violations.append(f"bag element {a} is not an argument")
     for x, y in sorted(af.attacks):
-        if not any(x in b and y in b for b in bags.values()):
+        if holders.get(x, set()).isdisjoint(holders.get(y, ())):
             violations.append(f"attack ({x},{y}) is covered by no bag")
     for a in af.arguments:
-        holders = [t for t, b in bags.items() if a in b]
-        if not holders:
+        holderset = holders.get(a)
+        if not holderset:
             continue
         # connectedness: the holders must induce a subtree
-        seen = {holders[0]}
-        stack = [holders[0]]
-        holderset = set(holders)
+        start = next(iter(holderset))
+        seen = {start}
+        stack = [start]
         while stack:
             t = stack.pop()
             for nb in list(children.get(t, ())) + ([parents[t]] if t in parents else []):
@@ -278,8 +282,9 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
                     for j in range(i + 1, len(nbs))
                     if nbs[j] not in adj[nbs[i]]
                 )
-        best = min(score(v) for v in remaining)
-        ties = sorted(v for v in remaining if score(v) == best)
+        scores = {v: score(v) for v in remaining}
+        best = min(scores.values())
+        ties = sorted(v for v, s in scores.items() if s == best)
         v = ties[0] if rng is None else ties[int(rng.integers(len(ties)))]
         out.append(v)
         nbs = adj.pop(v)
@@ -356,19 +361,16 @@ class _NiceBuilder:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Rewrite a valid decomposition into nice form (same width)."""
     b = _NiceBuilder()
-
-    def build(t: int) -> int:
-        bag = td.bags[t]
+    parent = {c: t for t, kids in td.children.items() for c in kids}
+    tops: dict[int, int] = {}  # finished node -> top of its chain to the parent's bag
+    for t in td.post_order():
         kids = td.children.get(t, ())
-        if not kids:
-            leaf = b.add(LEAF, frozenset())
-            return b.chain(leaf, bag)
-        tops = [b.chain(build(c), bag) for c in kids]
-        cur = tops[0]
-        for other in tops[1:]:
-            cur = b.add(JOIN, bag, (cur, other))
-        return cur
-
-    top = build(td.root)
-    root = b.chain(top, frozenset())
-    return NiceTreeDecomposition(b.nodes, root)
+        if kids:
+            cur = tops.pop(kids[0])
+            for c in kids[1:]:
+                cur = b.add(JOIN, td.bags[t], (cur, tops.pop(c)))
+        else:
+            cur = b.chain(b.add(LEAF, frozenset()), td.bags[t])
+        # chain up before the next sibling's subtree starts: node ids stay depth-first
+        tops[t] = b.chain(cur, td.bags[parent[t]] if t in parent else frozenset())
+    return NiceTreeDecomposition(b.nodes, tops[td.root])

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import paftd
 from paftd import (
     AF,
     PAF,
@@ -81,6 +86,39 @@ def test_float_mode_tracks_rational():
         exact = p_ext(paf, "com", S)
         approx = p_ext(paf, "com", S, mode="float")
         assert abs(approx - float(exact)) <= 1e-9
+
+
+def test_float_answer_does_not_depend_on_hash_seed():
+    # set iteration order follows PYTHONHASHSEED; the float product order must not
+    code = (
+        "from paftd import solve\n"
+        "from paftd.generator import GridSpec, generate_grid\n"
+        "paf, query = generate_grid(GridSpec(3, 6, 1))\n"
+        "S = query | {a for a in paf.af.arguments if paf.arg_certain(a)}\n"
+        "print(repr(solve(paf, 'com', S, mode='float').value))\n"
+    )
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    values = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        values.add(proc.stdout.strip())
+    assert len(values) == 1, values
+
+
+def test_long_chain_solves_without_recursion_limit():
+    names = [f"x{i:04d}" for i in range(1500)]
+    paf = PAF.certain(AF(names, list(zip(names, names[1:]))))
+    # the certain chain's only complete extension: the 1st, 3rd, 5th, ... argument
+    res = solve(paf, "com", set(names[::2]), heuristic="given-order", order=names)
+    assert res.value == 1
 
 
 def test_supplied_td_is_validated(cycle5):
