@@ -147,9 +147,9 @@ def _cmd_oracle(args) -> int:
     sigma = _semantics(args.semantics, oracle.ORACLE_SEMANTICS)
 
     queries = [q for q in (args.ext, args.acc, args.count_ext, args.count_acc) if q is not None]
-    if args.ext is None and args.count_ext is None and args.acc is None and args.count_acc is None:
+    if not queries:
         if doc.query_set is not None:
-            args.ext = str(",".join(sorted(doc.query_set)))
+            args.ext = ",".join(sorted(doc.query_set))
         elif doc.query_arg is not None:
             args.acc = doc.query_arg
         else:

@@ -67,7 +67,6 @@ class ExtSimplification:
     zero: bool
     paf: PAF | None
     multiplier: Fraction
-    query: frozenset[str]
 
 
 def simplify_for_ext(paf: PAF, S) -> ExtSimplification:
@@ -80,17 +79,17 @@ def simplify_for_ext(paf: PAF, S) -> ExtSimplification:
     S = paf.af.check_subset(S)
     forced = forced_labeling(paf)
     if S & forced.forced_out:
-        return ExtSimplification(True, None, Fraction(0), S)
+        return ExtSimplification(True, None, Fraction(0))
     removable = set()
     for a in forced.forced_in - S:
         if paf.arg_certain(a):
-            return ExtSimplification(True, None, Fraction(0), S)
+            return ExtSimplification(True, None, Fraction(0))
         removable.add(a)
     multiplier = Fraction(1)
     for a in removable:
         multiplier *= 1 - paf.arg_prob[a]
     reduced = paf.without_arguments(removable) if removable else paf
-    return ExtSimplification(False, reduced, multiplier, S)
+    return ExtSimplification(False, reduced, multiplier)
 
 
 def simplify_for_acc(paf: PAF, a: str) -> bool:

@@ -1,16 +1,21 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
-Tables are computed bottom-up.  A row pairs a bag-local structure (present
-arguments, present attacks, labeling) with witness flags (which arguments
-have seen an in-labeled attacker, resp. an undecided attacker) and the
-accumulated probability mass of all compatible completions below the node.
-That mass covers only the elements already forgotten: each argument's
-factor, with those of its uncertain attacks to arguments still in the bag,
-is multiplied in once, at the forget node where it leaves the bag.  The
-children of a join have therefore forgotten disjoint element sets, and a
+Tables are computed bottom-up.  A row is ``(present, atts, und, ow, uw, p)``:
+five int bitmasks and a probability mass.  ``present`` (the bag arguments in
+the scenario), ``und`` (those labeled undecided), ``ow`` and ``uw`` (those
+that have seen an in-labeled, resp. an undecided, attacker) hold one bit per
+argument in canonical order; ``atts`` (the present attacks) holds one bit per
+attack in sorted order.  The bits are global, so introducing or forgetting an
+argument never re-indexes a row.  No label is stored: a present member of S
+is in, any other present argument is undecided if it is in ``und`` and out
+otherwise.  ``p`` is the accumulated mass of all compatible completions below
+the node.  That mass covers only the elements already forgotten: each
+argument's factor, with those of its uncertain attacks to arguments still in
+the bag, is multiplied in once, at the forget node where it leaves the bag.
+The children of a join have therefore forgotten disjoint element sets, and a
 joined row's mass is the plain product of the two.  The ``--trace`` dump
-renders the bag-local factors back in, so its ``p=`` values are the mass of
-every element introduced below the node.
+decodes the masks and renders the bag-local factors back in, so its ``p=``
+values are the mass of every element introduced below the node.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -42,7 +47,7 @@ from .treedecomp import (
 
 DP_SEMANTICS = ("adm", "com", "stb")
 
-# the three labels a row assigns to its bag arguments
+# the three labels of a bag argument, as the ``--trace`` dump spells them
 IN = "I"
 OUT = "O"
 UND = "U"
@@ -131,9 +136,9 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         node = td.nodes[t]
         if node.kind == LEAF:
-            rows = [(frozenset(), frozenset(), (), frozenset(), frozenset(), ctx.one)]
+            rows = [(0, 0, 0, 0, 0, ctx.one)]
         elif node.kind == INTRO:
-            rows = _introduce(tables.pop(node.children[0]), node.arg, node.bag, ctx)
+            rows = _introduce(tables.pop(node.children[0]), node.arg, ctx)
         elif node.kind == FORGET:
             rows = _forget(tables.pop(node.children[0]), node.arg, ctx)
         else:
@@ -141,12 +146,8 @@ def solve(
             right = tables.pop(node.children[1])
             rows = _join(left, right)
         tables[t] = rows
-        stats[t] = NodeStats(
-            node.kind,
-            len(node.bag),
-            sum(1 for r in ctx.bag_attacks(node.bag) if not ctx.att_certain[r]),
-            len(rows),
-        )
+        uncertain = ctx.uncertain_attacks_within(node.bag)
+        stats[t] = NodeStats(node.kind, len(node.bag), uncertain, len(rows))
         if trace_lines is not None:
             trace_lines.extend(_dump(t, rows, node.bag, ctx, mode))
 
@@ -165,132 +166,105 @@ def solve(
 
 
 class _Context:
-    """Per-solve constants: probabilities in the active number type,
-    certainty flags, and attack adjacency."""
+    """Per-solve constants: probabilities in the active number type, one bit
+    per argument (canonical order) and one per attack (sorted order)."""
 
     def __init__(self, paf: PAF, S, sigma, conv):
-        self.S = S
         self.sigma = sigma
-        self.parg = {a: conv(p) for a, p in paf.arg_prob.items()}
-        self.patt = {r: conv(p) for r, p in paf.att_prob.items()}
-        self.arg_certain = {a: paf.arg_certain(a) for a in paf.af.arguments}
-        self.att_certain = {r: paf.att_certain(r) for r in paf.af.attacks}
         self.one = conv(Fraction(1))
         self.zero = conv(Fraction(0))
-        self.attacks = paf.af.attacks
-        incident: dict[str, list] = {a: [] for a in paf.af.arguments}
-        for r in sorted(paf.af.attacks):
-            incident[r[0]].append(r)
-            if r[1] != r[0]:
-                incident[r[1]].append(r)
-        self.incident = incident
+        self.bit = {a: 1 << i for i, a in enumerate(paf.af.arguments)}
+        self.s_mask = sum(self.bit[a] for a in S)
+        self.parg = {a: conv(p) for a, p in paf.arg_prob.items()}
+        self.arg_certain = {a: paf.arg_certain(a) for a in paf.af.arguments}
+        self.attacks = sorted(paf.af.attacks)
+        # per argument, its attacks in sorted order as (attack bit, endpoint
+        # mask, source bit, target bit, probability or None when certain)
+        self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
+        for i, (x, y) in enumerate(self.attacks):
+            p = None if paf.att_certain((x, y)) else conv(paf.att_prob[x, y])
+            entry = (1 << i, self.bit[x] | self.bit[y], self.bit[x], self.bit[y], p)
+            for a in {x, y}:
+                self.incident[a].append(entry)
+        self.incident_mask = {a: sum(r[0] for r in rs) for a, rs in self.incident.items()}
 
-    def bag_attacks(self, bag):
-        return [r for r in self.incident_union(bag) if r[0] in bag and r[1] in bag]
+    def uncertain_attacks_within(self, bag) -> int:
+        bag_mask = sum(self.bit[a] for a in bag)
+        return len(
+            {r[0] for a in bag for r in self.incident[a] if r[4] is not None and not r[1] & ~bag_mask}
+        )
 
-    def incident_union(self, bag):
-        seen = set()
-        for a in bag:
-            seen.update(self.incident[a])
-        return sorted(seen)
-
-    def factor(self, a: str, present, atts):
+    def factor(self, a: str, present: int, atts: int):
         """Probability factor of ``a`` in a row's structure: its presence or
         absence, and, if present, each uncertain attack between ``a`` and the
         other ``present`` arguments.  Applied once, where ``a`` is forgotten."""
-        if a not in present:
+        if not present & self.bit[a]:
             return self.one - self.parg[a]
         factor = self.parg[a]
-        for r in self.incident[a]:
-            if r[0] in present and r[1] in present and not self.att_certain[r]:
-                factor = factor * (self.patt[r] if r in atts else self.one - self.patt[r])
+        for r_bit, ends, _, _, p in self.incident[a]:
+            if p is not None and not ends & ~present:
+                factor = factor * (p if atts & r_bit else self.one - p)
         return factor
 
-    def labels_for(self, a: str):
-        if a in self.S:
-            return (IN,)
-        if self.sigma == "stb":
-            return (OUT,)
-        return (OUT, UND)
 
-
-def _introduce(rows, a, bag, ctx: _Context):
+def _introduce(rows, a, ctx: _Context):
     out = []
-    certain_a = ctx.arg_certain[a]
-    s_bag = ctx.S & bag
+    bit = ctx.bit[a]
+    in_s = ctx.s_mask & bit
+    # every other bag member of S is present already: only ``a`` can be an
+    # absent member of S, and that row is not emitted
+    keep_absent = not (ctx.arg_certain[a] or in_s)
+    und_choices = (0,) if in_s or ctx.sigma == "stb" else (0, bit)
     for row in rows:
-        present, atts, lab, ow, uw, p = row
-        if not certain_a:
+        present, atts, und, ow, uw, p = row
+        if keep_absent:
             out.append(row)
-
-        labd = dict(lab)
-        incident = [
-            (x, y)
-            for x, y in ctx.incident[a]
-            if (x == a or x in present) and (y == a or y in present)
-        ]
-        forced = tuple(r for r in incident if ctx.att_certain[r])
-        optional = [r for r in incident if not ctx.att_certain[r]]
+        present |= bit
+        ins = present & ctx.s_mask
+        incident = [r for r in ctx.incident[a] if not r[1] & ~present]
+        forced = [r for r in incident if r[4] is None]
+        optional = [r for r in incident if r[4] is not None]
 
         for rmask in range(1 << len(optional)):
-            chosen = forced + tuple(r for i, r in enumerate(optional) if rmask >> i & 1)
-            for label_a in ctx.labels_for(a):
-                labd[a] = label_a
+            chosen = forced + [r for i, r in enumerate(optional) if rmask >> i & 1]
+            new_atts = atts
+            for r in chosen:
+                new_atts |= r[0]
+            for und_a in und_choices:
+                new_und = und | und_a
+                live = ins | new_und  # the arguments not labeled out
                 # conflict discipline: every neighbor of an in-label is out
-                ok = True
-                for x, y in chosen:
-                    lx, ly = labd[x], labd[y]
-                    if (lx == IN and ly != OUT) or (ly == IN and lx != OUT):
-                        ok = False
-                        break
-                if not ok:
+                if any(ends & ins and not ends & ~live for _, ends, _, _, _ in chosen):
                     continue
-                new_ow, new_uw = set(ow), set(uw)
-                for x, y in chosen:
-                    lx = labd[x]
-                    if lx == IN:
-                        new_ow.add(y)
-                    elif lx == UND:
-                        new_uw.add(y)
-                out.append(
-                    (
-                        present | {a},
-                        atts | frozenset(chosen),
-                        tuple(sorted(labd.items())),
-                        frozenset(new_ow),
-                        frozenset(new_uw),
-                        p,
-                    )
-                )
-        del labd[a]
-
-    if s_bag:
-        out = [row for row in out if s_bag <= row[0]]
+                new_ow, new_uw = ow, uw
+                for _, _, x, y, _ in chosen:
+                    if x & ins:
+                        new_ow |= y
+                    elif x & new_und:
+                        new_uw |= y
+                out.append((present, new_atts, new_und, new_ow, new_uw, p))
     return out
 
 
 def _forget(rows, a, ctx: _Context):
     merged: dict[tuple, object] = {}
     factors: dict[tuple, object] = {}
+    bit = ctx.bit[a]
+    keep, keep_atts = ~bit, ~ctx.incident_mask[a]
+    needs_witness = not ctx.s_mask & bit  # an in-label needs none
     com = ctx.sigma == "com"
-    for present, atts, lab, ow, uw, p in rows:
-        if a in present:
-            label_a = dict(lab)[a]
-            if label_a == OUT and a not in ow:
-                continue
-            if label_a == UND and com and a not in uw:
+    for present, atts, und, ow, uw, p in rows:
+        if needs_witness and present & bit:
+            if und & bit:
+                if com and not uw & bit:
+                    continue
+            elif not ow & bit:
                 continue
         factor = factors.get((present, atts))
         if factor is None:
             factor = factors[present, atts] = ctx.factor(a, present, atts)
         p = p * factor
-        if a in present:
-            present = present - {a}
-            atts = frozenset(r for r in atts if a not in r)
-            lab = tuple(item for item in lab if item[0] != a)
-            ow = ow - {a}
-            uw = uw - {a}
-        key = (present, atts, lab, ow, uw)
+        key = (present & keep, atts & keep_atts, und & keep, ow & keep, uw & keep)
         if key in merged:
             merged[key] = merged[key] + p
         else:
@@ -303,9 +277,9 @@ def _join(left, right):
     for row in right:
         by_structure.setdefault(row[:3], []).append(row)
     out = []
-    for present, atts, lab, ow1, uw1, p1 in left:
-        for _, _, _, ow2, uw2, p2 in by_structure.get((present, atts, lab), ()):
-            out.append((present, atts, lab, ow1 | ow2, uw1 | uw2, p1 * p2))
+    for present, atts, und, ow1, uw1, p1 in left:
+        for _, _, _, ow2, uw2, p2 in by_structure.get((present, atts, und), ()):
+            out.append((present, atts, und, ow1 | ow2, uw1 | uw2, p1 * p2))
     return out
 
 
@@ -314,23 +288,31 @@ def _format_value(p, mode: str) -> str:
 
 
 def _dump(node_id: int, rows, bag, ctx: _Context, mode: str) -> list[str]:
+    order = sorted(bag)
+
+    def names(mask):
+        return [x for x in order if mask & ctx.bit[x]]
+
+    decoded = []
+    for present, atts, und, ow, uw, p in rows:
+        args = names(present)
+        # bit i of ``atts`` is the i-th attack in sorted order
+        att_list = [ctx.attacks[i] for i, c in enumerate(reversed(bin(atts))) if c == "1"]
+        labels = [IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT for x in args]
+        # the labels sort as (argument, label) pairs: out before undecided
+        key = (args, att_list, tuple(zip(args, labels)), names(ow), names(uw))
+        decoded.append((key, present, atts, p))
     lines = []
-    for present, atts, lab, ow, uw, p in sorted(
-        rows, key=lambda r: (sorted(r[0]), sorted(r[1]), r[2], sorted(r[3]), sorted(r[4]))
-    ):
+    for (args, att_list, lab, ow, uw), present, atts, p in sorted(decoded, key=lambda d: d[0]):
         # render the mass of the whole subtree: forget the bag in sorted order
         remaining = present
-        for a in sorted(bag):
+        for a in order:
             p = p * ctx.factor(a, remaining, atts)
-            remaining = remaining - {a}
-        labd = dict(lab)
-        ins = ",".join(sorted(x for x, l in labd.items() if l == IN))
-        outs = ",".join(sorted(x for x, l in labd.items() if l == OUT))
-        unds = ",".join(sorted(x for x, l in labd.items() if l == UND))
-        args = ",".join(sorted(present))
-        attstr = ",".join(f"{x}>{y}" for x, y in sorted(atts))
+            remaining &= ~ctx.bit[a]
+        ins, outs, unds = (",".join(x for x, l in lab if l == want) for want in (IN, OUT, UND))
+        attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(
-            f"node={node_id} F=({args};{attstr}) L=({ins};{outs};{unds}) "
-            f"lw=({','.join(sorted(ow))};{','.join(sorted(uw))}) p={_format_value(p, mode)}"
+            f"node={node_id} F=({','.join(args)};{attstr}) L=({ins};{outs};{unds}) "
+            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(p, mode)}"
         )
     return lines

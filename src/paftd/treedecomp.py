@@ -159,7 +159,7 @@ def _validate_bags(bags, children, root, af: AF) -> list[str]:
     for a in af.arguments:
         if a not in covered:
             violations.append(f"argument {a} appears in no bag")
-    for a in covered - set(af.arguments):
+    for a in sorted(covered - set(af.arguments)):
         violations.append(f"bag element {a} is not an argument")
     for x, y in sorted(af.attacks):
         if holders.get(x, set()).isdisjoint(holders.get(y, ())):
@@ -255,6 +255,20 @@ def _undirected_adjacency(af: AF) -> dict[str, set[str]]:
     return adj
 
 
+def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
+    """Remove ``v`` from the graph, join its neighbors pairwise (fill edges)
+    and return them."""
+    nbs = adj.pop(v)
+    for u in nbs:
+        adj[u].discard(v)
+    for u in nbs:
+        for w in nbs:
+            if u < w:
+                adj[u].add(w)
+                adj[w].add(u)
+    return nbs
+
+
 def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None):
     """Compute an elimination ordering of the attack graph's vertices."""
     if heuristic not in HEURISTICS:
@@ -268,9 +282,8 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
         return order
 
     adj = _undirected_adjacency(af)
-    remaining = set(af.arguments)
     out = []
-    while remaining:
+    while adj:
         if heuristic == "min-degree":
             score = lambda v: len(adj[v])
         else:
@@ -282,20 +295,12 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
                     for j in range(i + 1, len(nbs))
                     if nbs[j] not in adj[nbs[i]]
                 )
-        scores = {v: score(v) for v in remaining}
+        scores = {v: score(v) for v in adj}
         best = min(scores.values())
         ties = sorted(v for v, s in scores.items() if s == best)
         v = ties[0] if rng is None else ties[int(rng.integers(len(ties)))]
         out.append(v)
-        nbs = adj.pop(v)
-        remaining.discard(v)
-        for u in nbs:
-            adj[u].discard(v)
-        for u in nbs:
-            for w in nbs:
-                if u < w:
-                    adj[u].add(w)
-                    adj[w].add(u)
+        _eliminate(adj, v)
     return out
 
 
@@ -313,15 +318,8 @@ def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> Tree
     bags: dict[int, frozenset[str]] = {}
     parent: dict[int, int | None] = {}
     for i, v in enumerate(order):
-        nbs = adj.pop(v)
+        nbs = _eliminate(adj, v)
         bags[i] = frozenset(nbs | {v})
-        for u in nbs:
-            adj[u].discard(v)
-        for u in nbs:
-            for w in nbs:
-                if u < w:
-                    adj[u].add(w)
-                    adj[w].add(u)
         parent[i] = min((position[u] for u in nbs), default=None)
 
     root = len(order) - 1

@@ -1,0 +1,107 @@
+"""Differential and metamorphic properties of the P-Ext DP.
+
+Small PAFs (0-5 arguments; self-attacks, disconnected graphs and empty query
+sets allowed) are checked against the scenario oracle and the extension
+enumerator, and against laws any correct solver must obey: renaming,
+disjoint unions and isolated certain arguments.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paftd import AF, PAF, extensions, p_ext_oracle, solve
+
+SEMANTICS = ("adm", "com", "stb")
+MAX_UNCERTAIN = 8  # keeps the oracle at <= 256 scenarios
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+probability = st.one_of(st.just(Fraction(1)), st.integers(1, 9).map(lambda k: Fraction(k, 10)))
+
+
+@st.composite
+def pafs(draw, prefix="x", max_args=5):
+    n = draw(st.integers(0, max_args))
+    names = [f"{prefix}{i}" for i in range(n)]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)) if names else st.nothing()
+    attacks = sorted(draw(st.sets(pairs, max_size=n * n)))
+    arg_prob = {a: draw(probability) for a in names}
+    att_prob = {r: draw(probability) for r in attacks}
+    # make all but the first MAX_UNCERTAIN uncertain elements certain
+    uncertain = [(arg_prob, a) for a in names if arg_prob[a] != 1]
+    uncertain += [(att_prob, r) for r in attacks if att_prob[r] != 1]
+    for table, key in uncertain[MAX_UNCERTAIN:]:
+        table[key] = Fraction(1)
+    paf = PAF(AF(names, attacks), arg_prob, att_prob)
+    S = frozenset(a for a in names if draw(st.booleans()))
+    return paf, S
+
+
+def dp(paf, sigma, S, mode="rational"):
+    return solve(paf, sigma, S, mode=mode).value
+
+
+@PROPERTY
+@given(pafs())
+def test_dp_matches_oracle(case):
+    paf, S = case
+    for sigma in SEMANTICS:
+        exact = p_ext_oracle(paf, sigma, S)
+        assert dp(paf, sigma, S) == exact
+        assert abs(dp(paf, sigma, S, mode="float") - float(exact)) <= 1e-9
+
+
+@PROPERTY
+@given(pafs())
+def test_certain_dp_matches_extension_enumeration(case):
+    paf, S = case
+    paf = PAF.certain(paf.af)
+    for sigma in SEMANTICS:
+        assert dp(paf, sigma, S) == (1 if S in extensions(paf.af, sigma) else 0)
+
+
+@PROPERTY
+@given(pafs())
+def test_renaming_leaves_the_value_unchanged(case):
+    paf, S = case
+    args = paf.af.arguments
+    # every argument moves to another canonical index: a cyclic shift of z-names
+    new = {a: f"z{(i + 1) % len(args)}" for i, a in enumerate(args)}
+    renamed = PAF(
+        AF(new.values(), [(new[x], new[y]) for x, y in paf.af.attacks]),
+        {new[a]: p for a, p in paf.arg_prob.items()},
+        {(new[x], new[y]): p for (x, y), p in paf.att_prob.items()},
+    )
+    for sigma in SEMANTICS:
+        assert dp(renamed, sigma, {new[a] for a in S}) == dp(paf, sigma, S)
+
+
+@PROPERTY
+@given(pafs(prefix="x"), pafs(prefix="y"))
+def test_disjoint_union_factorizes(left, right):
+    (p1, S1), (p2, S2) = left, right
+    union = PAF(
+        AF(p1.af.arguments + p2.af.arguments, p1.af.attacks | p2.af.attacks),
+        {**p1.arg_prob, **p2.arg_prob},
+        {**p1.att_prob, **p2.att_prob},
+    )
+    for sigma in SEMANTICS:
+        assert dp(union, sigma, S1 | S2) == dp(p1, sigma, S1) * dp(p2, sigma, S2)
+
+
+@PROPERTY
+@given(pafs())
+def test_isolated_certain_argument_is_forced_in(case):
+    paf, S = case
+    iso = "iso"
+    extended = PAF(
+        AF(paf.af.arguments + (iso,), paf.af.attacks),
+        {**paf.arg_prob, iso: Fraction(1)},
+        paf.att_prob,
+    )
+    for sigma in SEMANTICS:
+        value = dp(paf, sigma, S)
+        assert dp(extended, sigma, S | {iso}) == value
+        assert dp(extended, sigma, S) == (value if sigma == "adm" else 0)

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paftd
 from paftd import (
     AF,
     InputError,
@@ -104,6 +109,28 @@ def test_validator_reports_violations():
         "attack (x0,x1) is covered by no bag",
         "attack (x1,x2) is covered by no bag",
     ]
+    # non-argument bag elements are reported in sorted order, whatever the
+    # set iteration order that PYTHONHASHSEED picks
+    code = (
+        "from paftd import AF, TreeDecomposition\n"
+        "td = TreeDecomposition({0: frozenset({'a', 'qq', 'yy', 'zz'})}, {0: ()}, 0)\n"
+        "print(td.validate(AF(['a'])))\n"
+    )
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.add(proc.stdout.strip())
+    expected = [f"bag element {x} is not an argument" for x in ("qq", "yy", "zz")]
+    assert outputs == {repr(expected)}
 
 
 def test_validator_catches_disconnected_occurrences():
