@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import generator, oracle, paffile, preprocess, solver, treedecomp
+from .core import exact_text
 from .errors import BudgetExceeded, CapacityError, InputError
 
 EXIT_OK = 0
@@ -51,7 +52,7 @@ def _decimal15(value: Fraction) -> str:
 
 def _answer_fields(value, mode: str) -> dict:
     if mode == "rational":
-        return {"answer": str(value), "answerDecimal": _decimal15(value)}
+        return {"answer": exact_text(value), "answerDecimal": _decimal15(value)}
     return {"answer": repr(float(value)), "answerDecimal": repr(float(value))}
 
 
@@ -204,7 +205,7 @@ def _cmd_preprocess(args) -> int:
         record["set"] = sorted(S)
         record["zero"] = reduction.zero
         if not reduction.zero:
-            record["multiplier"] = str(reduction.multiplier)
+            record["multiplier"] = exact_text(reduction.multiplier)
             record["removed"] = sorted(
                 set(paf.af.arguments) - set(reduction.paf.af.arguments)
             )

@@ -59,6 +59,13 @@ def as_probability(value) -> Fraction:
     return p
 
 
+def exact_text(value: Fraction) -> str:
+    """``str(value)``, also past Python's int-to-string digit limit: the
+    digits come from ``Decimal``, which that limit does not cover."""
+    n, d = Decimal(value.numerator), Decimal(value.denominator)
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
 class AF:
     """An argumentation framework: arguments plus a directed attack relation.
 

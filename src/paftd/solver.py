@@ -1,21 +1,37 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
 Tables are computed bottom-up.  A row is ``(present, atts, und, ow, uw, p)``:
-five int bitmasks and a probability mass.  ``present`` (the bag arguments in
-the scenario), ``und`` (those labeled undecided), ``ow`` and ``uw`` (those
-that have seen an in-labeled, resp. an undecided, attacker) hold one bit per
+five int bitmasks and a mass.  ``present`` (the bag arguments in the
+scenario), ``und`` (those labeled undecided), ``ow`` and ``uw`` (those that
+have seen an in-labeled, resp. an undecided, attacker) hold one bit per
 argument in canonical order; ``atts`` (the present attacks) holds one bit per
 attack in sorted order.  The bits are global, so introducing or forgetting an
 argument never re-indexes a row.  No label is stored: a present member of S
 is in, any other present argument is undecided if it is in ``und`` and out
-otherwise.  ``p`` is the accumulated mass of all compatible completions below
-the node.  That mass covers only the elements already forgotten: each
-argument's factor, with those of its uncertain attacks to arguments still in
-the bag, is multiplied in once, at the forget node where it leaves the bag.
-The children of a join have therefore forgotten disjoint element sets, and a
-joined row's mass is the plain product of the two.  The ``--trace`` dump
-decodes the masks and renders the bag-local factors back in, so its ``p=``
-values are the mass of every element introduced below the node.
+otherwise.
+
+``p`` is the accumulated mass of all compatible completions below the node,
+over the elements already forgotten.  In rational mode it is a plain int
+numerator: every row of a table shares one int denominator, so no
+``Fraction`` is built until the root answer ``Fraction(sum of masses,
+denominator)``.  Write each probability as ``n/d``.  When ``a`` is forgotten,
+its *charged* attacks are the uncertain attacks incident to ``a`` (self-attacks
+included) whose other endpoint is in the child bag.  A row's mass is
+multiplied by ``n_a`` if ``a`` is present, else by ``d_a - n_a``, and for each
+charged attack by ``n_r`` or ``d_r - n_r`` when both endpoints are present,
+else by ``d_r``; the table's denominator is the child's times ``d_a`` times
+each charged ``d_r``.  Each uncertain attack is charged exactly once, at the
+forget of its first endpoint, while the other endpoint is still in the bag
+(the bags holding an argument are connected).  The children of a join have
+therefore forgotten disjoint element sets: a joined row's mass is the product
+of the two, and its denominator the product of theirs.  Per-element
+denominators rather than one common multiple keep the numbers small when
+many distinct primes occur.  Float mode runs the same steps with the weights
+``p``, ``1 - p`` and ``1.0`` and a denominator of ``1.0``; a product with
+``1.0`` is exact, so the float products are those of the present factors
+alone, in sorted attack order.  The ``--trace`` dump decodes the masks and
+forgets the bag in sorted order under the same rule, so its ``p=`` values
+are the mass of every element introduced below the node.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -28,11 +44,12 @@ by a function of the bag alone.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PAF
+from .core import PAF, exact_text
 from .errors import BudgetExceeded, InputError
 from .preprocess import query_ext
 from .treedecomp import (
@@ -76,10 +93,13 @@ class SolveResult:
 
 
 def _converter(mode: str):
+    """The weights of a probability in the mode's number type (present,
+    absent, charged without both endpoints present) and the map from a mass
+    and its denominator to an answer."""
     if mode == "float":
-        return float
+        return (lambda p: (f := float(p), 1.0 - f, 1.0)), operator.truediv
     if mode == "rational":
-        return lambda f: f
+        return (lambda p: (p.numerator, p.denominator - p.numerator, p.denominator)), Fraction
     raise InputError(f"unknown arithmetic mode {mode!r}")
 
 
@@ -117,7 +137,7 @@ def solve(
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
     S = paf.af.check_subset(S)
-    conv = _converter(mode)
+    weights, ratio = _converter(mode)
 
     if td is None:
         td = make_nice(decompose(paf.af, heuristic=heuristic, order=order))
@@ -126,8 +146,8 @@ def solve(
         if violations:
             raise InputError("invalid tree-decomposition: " + "; ".join(violations))
 
-    ctx = _Context(paf, S, sigma, conv)
-    tables: dict[int, list] = {}
+    ctx = _Context(paf, S, sigma, weights, ratio)
+    tables: dict[int, tuple] = {}  # node -> (rows, denominator)
     stats: dict[int, NodeStats] = {}
     trace_lines: list[str] | None = [] if trace else None
 
@@ -136,26 +156,30 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         node = td.nodes[t]
         if node.kind == LEAF:
-            rows = [(0, 0, 0, 0, 0, ctx.one)]
+            rows, den = [(0, 0, 0, 0, 0, ctx.one)], ctx.one
         elif node.kind == INTRO:
-            rows = _introduce(tables.pop(node.children[0]), node.arg, ctx)
+            rows, den = tables.pop(node.children[0])
+            rows = _introduce(rows, node.arg, ctx)
         elif node.kind == FORGET:
-            rows = _forget(tables.pop(node.children[0]), node.arg, ctx)
+            rows, den = tables.pop(node.children[0])
+            charged, charged_den = ctx.charged(node.arg, ctx.mask(node.bag) | ctx.bit[node.arg])
+            rows, den = _forget(rows, node.arg, charged, ctx), den * charged_den
         else:
-            left = tables.pop(node.children[0])
-            right = tables.pop(node.children[1])
-            rows = _join(left, right)
-        tables[t] = rows
+            left, left_den = tables.pop(node.children[0])
+            right, right_den = tables.pop(node.children[1])
+            rows, den = _join(left, right), left_den * right_den
+        tables[t] = rows, den
         uncertain = ctx.uncertain_attacks_within(node.bag)
         stats[t] = NodeStats(node.kind, len(node.bag), uncertain, len(rows))
         if trace_lines is not None:
-            trace_lines.extend(_dump(t, rows, node.bag, ctx, mode))
+            trace_lines.extend(_dump(t, rows, den, node.bag, ctx, mode))
 
-    value = ctx.zero
-    for row in tables[td.root]:
-        value = value + row[5]
+    rows, den = tables[td.root]
+    total = ctx.zero  # not sum(): it compensates float sums from Python 3.12 on
+    for row in rows:
+        total = total + row[5]
     return SolveResult(
-        value,
+        ctx.ratio(total, den),
         sigma,
         mode,
         td.width(),
@@ -166,44 +190,56 @@ def solve(
 
 
 class _Context:
-    """Per-solve constants: probabilities in the active number type, one bit
-    per argument (canonical order) and one per attack (sorted order)."""
+    """Per-solve constants: the weights of each probability in the active
+    number type, one bit per argument (canonical order) and one per attack
+    (sorted order)."""
 
-    def __init__(self, paf: PAF, S, sigma, conv):
+    def __init__(self, paf: PAF, S, sigma, weights, ratio):
         self.sigma = sigma
-        self.one = conv(Fraction(1))
-        self.zero = conv(Fraction(0))
+        self.ratio = ratio
+        self.one, self.zero, _ = weights(1)  # (1, 0, 1), or (1.0, 0.0, 1.0) in float mode
         self.bit = {a: 1 << i for i, a in enumerate(paf.af.arguments)}
-        self.s_mask = sum(self.bit[a] for a in S)
-        self.parg = {a: conv(p) for a, p in paf.arg_prob.items()}
+        self.s_mask = self.mask(S)
+        self.warg = {a: weights(p) for a, p in paf.arg_prob.items()}
         self.arg_certain = {a: paf.arg_certain(a) for a in paf.af.arguments}
         self.attacks = sorted(paf.af.attacks)
         # per argument, its attacks in sorted order as (attack bit, endpoint
-        # mask, source bit, target bit, probability or None when certain)
+        # mask, source bit, target bit, weights or None when certain)
         self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
         for i, (x, y) in enumerate(self.attacks):
-            p = None if paf.att_certain((x, y)) else conv(paf.att_prob[x, y])
-            entry = (1 << i, self.bit[x] | self.bit[y], self.bit[x], self.bit[y], p)
+            w = None if paf.att_certain((x, y)) else weights(paf.att_prob[x, y])
+            entry = (1 << i, self.bit[x] | self.bit[y], self.bit[x], self.bit[y], w)
             for a in {x, y}:
                 self.incident[a].append(entry)
         self.incident_mask = {a: sum(r[0] for r in rs) for a, rs in self.incident.items()}
 
+    def mask(self, args) -> int:
+        return sum(self.bit[a] for a in args)
+
     def uncertain_attacks_within(self, bag) -> int:
-        bag_mask = sum(self.bit[a] for a in bag)
+        bag_mask = self.mask(bag)
         return len(
             {r[0] for a in bag for r in self.incident[a] if r[4] is not None and not r[1] & ~bag_mask}
         )
 
-    def factor(self, a: str, present: int, atts: int):
-        """Probability factor of ``a`` in a row's structure: its presence or
-        absence, and, if present, each uncertain attack between ``a`` and the
-        other ``present`` arguments.  Applied once, where ``a`` is forgotten."""
-        if not present & self.bit[a]:
-            return self.one - self.parg[a]
-        factor = self.parg[a]
-        for r_bit, ends, _, _, p in self.incident[a]:
-            if p is not None and not ends & ~present:
-                factor = factor * (p if atts & r_bit else self.one - p)
+    def charged(self, a: str, bag_mask: int):
+        """The uncertain attacks charged where ``a`` leaves a bag, those
+        between ``a`` and a member of ``bag_mask`` (which holds ``a``), and
+        the denominator that forget multiplies into the table's."""
+        charged = [r for r in self.incident[a] if r[4] is not None and not r[1] & ~bag_mask]
+        den = self.warg[a][2]
+        for r in charged:
+            den = den * r[4][2]
+        return charged, den
+
+    def factor(self, a: str, present: int, atts: int, charged):
+        """Numerator of ``a``'s factor in a row's structure: its presence or
+        absence, and each charged attack's presence or absence if both its
+        endpoints are present, else that attack's denominator."""
+        w_present, w_absent, _ = self.warg[a]
+        factor = w_present if present & self.bit[a] else w_absent
+        for r_bit, ends, _, _, (w_present, w_absent, d) in charged:
+            factor = factor * (d if ends & ~present else w_present if atts & r_bit else w_absent)
         return factor
 
 
@@ -246,7 +282,7 @@ def _introduce(rows, a, ctx: _Context):
     return out
 
 
-def _forget(rows, a, ctx: _Context):
+def _forget(rows, a, charged, ctx: _Context):
     merged: dict[tuple, object] = {}
     factors: dict[tuple, object] = {}
     bit = ctx.bit[a]
@@ -262,7 +298,7 @@ def _forget(rows, a, ctx: _Context):
                 continue
         factor = factors.get((present, atts))
         if factor is None:
-            factor = factors[present, atts] = ctx.factor(a, present, atts)
+            factor = factors[present, atts] = ctx.factor(a, present, atts, charged)
         p = p * factor
         key = (present & keep, atts & keep_atts, und & keep, ow & keep, uw & keep)
         if key in merged:
@@ -284,14 +320,22 @@ def _join(left, right):
 
 
 def _format_value(p, mode: str) -> str:
-    return repr(p) if mode == "float" else str(p)
+    return repr(p) if mode == "float" else exact_text(p)
 
 
-def _dump(node_id: int, rows, bag, ctx: _Context, mode: str) -> list[str]:
+def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
     order = sorted(bag)
 
     def names(mask):
         return [x for x in order if mask & ctx.bit[x]]
+
+    # render the mass of the whole subtree: forget the bag in sorted order
+    steps, bag_mask = [], ctx.mask(bag)
+    for a in order:
+        charged, charged_den = ctx.charged(a, bag_mask)
+        steps.append((a, ctx.bit[a], charged))
+        den = den * charged_den
+        bag_mask &= ~ctx.bit[a]
 
     decoded = []
     for present, atts, und, ow, uw, p in rows:
@@ -304,15 +348,13 @@ def _dump(node_id: int, rows, bag, ctx: _Context, mode: str) -> list[str]:
         decoded.append((key, present, atts, p))
     lines = []
     for (args, att_list, lab, ow, uw), present, atts, p in sorted(decoded, key=lambda d: d[0]):
-        # render the mass of the whole subtree: forget the bag in sorted order
-        remaining = present
-        for a in order:
-            p = p * ctx.factor(a, remaining, atts)
-            remaining &= ~ctx.bit[a]
+        for a, bit, charged in steps:
+            p = p * ctx.factor(a, present, atts, charged)
+            present &= ~bit
         ins, outs, unds = (",".join(x for x, l in lab if l == want) for want in (IN, OUT, UND))
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(
             f"node={node_id} F=({','.join(args)};{attstr}) L=({ins};{outs};{unds}) "
-            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(p, mode)}"
+            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(ctx.ratio(p, den), mode)}"
         )
     return lines

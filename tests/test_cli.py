@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import paftd
+from paftd import AF, PAF
 from paftd.cli import run
+from paftd.paffile import serialize_paf
 
 from conftest import FIXTURES
 
@@ -45,6 +54,61 @@ def test_solve_with_td_file_and_trace(capsys):
     assert code == 0
     assert rec["answer"] == "18/25"
     assert any("p=4/5" in line for line in rec["trace"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "paftd", "solve", CYCLE5],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["answer"] == "18/25"
+
+
+def chain_ext_probability(names, arg_prob, att_prob, S) -> Fraction:
+    """P(S is complete) on the chain ``names[0] -> names[1] -> ...``, by a
+    transfer over positions.  A chain is acyclic, so its one complete
+    extension is the grounded one: an argument is in unless its predecessor
+    is present, in, and attacks it."""
+    weights = {"absent": Fraction(1)}  # the state of the previous argument
+    prev = None
+    for a in names:
+        p = arg_prob[a]
+        q = att_prob[prev, a] if prev is not None else 0
+        nxt = dict.fromkeys(("absent", "in", "out"), Fraction(0))
+        for state, w in weights.items():
+            hit = q if state == "in" else 0
+            if a in S:
+                nxt["in"] += w * p * (1 - hit)
+            else:
+                nxt["absent"] += w * (1 - p)
+                nxt["out"] += w * p * hit
+        weights = nxt
+        prev = a
+    return sum(weights.values())
+
+
+def test_huge_exact_answer_is_printed(tmp_path, capsys):
+    # the exact answer has more digits than Python converts int <-> str by default
+    names = [f"c{i:04d}" for i in range(5000)]
+    attacks = list(zip(names, names[1:]))
+    arg_prob = {a: Fraction(i % 9 + 1, 10) for i, a in enumerate(names)}
+    att_prob = {r: Fraction(i % 7 + 2, 10) for i, r in enumerate(attacks)}
+    S = frozenset(names[::2])
+    path = tmp_path / "chain.paf"
+    path.write_text(serialize_paf(PAF(AF(names, attacks), arg_prob, att_prob), query_set=S))
+    argv = ["solve", str(path), "--heuristic", "given-order", "--order", ",".join(names)]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    want = chain_ext_probability(names, arg_prob, att_prob, S)
+    assert want.denominator.bit_length() > 16000
+    # compared as text: Fraction(rec["answer"]) would meet the same limit
+    assert rec["answer"] == f"{Decimal(want.numerator)}/{Decimal(want.denominator)}"
+    assert rec["answerDecimal"].endswith("E-1304")
 
 
 def test_oracle_acc(capsys):

@@ -18,7 +18,16 @@ MAX_UNCERTAIN = 8  # keeps the oracle at <= 256 scenarios
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
-probability = st.one_of(st.just(Fraction(1)), st.integers(1, 9).map(lambda k: Fraction(k, 10)))
+# tenths, and k/d over co-prime denominators, so that one DP table meets
+# several of them; never 0, which PAF rejects
+COPRIME_DENOMINATORS = (3, 7, 11, 13, 97)
+probability = st.one_of(
+    st.just(Fraction(1)),
+    st.integers(1, 9).map(lambda k: Fraction(k, 10)),
+    st.sampled_from(COPRIME_DENOMINATORS).flatmap(
+        lambda d: st.integers(1, d - 1).map(lambda k: Fraction(k, d))
+    ),
+)
 
 
 @st.composite

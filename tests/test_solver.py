@@ -12,8 +12,10 @@ from paftd import (
     AF,
     PAF,
     BudgetExceeded,
+    GridSpec,
     InputError,
     decompose,
+    generate_grid,
     make_nice,
     p_ext,
     p_ext_oracle,
@@ -22,6 +24,7 @@ from paftd import (
     solve,
     solve_with_trace,
 )
+from paftd import solver
 
 from conftest import FIXTURES, random_paf, random_subset
 
@@ -119,6 +122,51 @@ def test_long_chain_solves_without_recursion_limit():
     # the certain chain's only complete extension: the 1st, 3rd, 5th, ... argument
     res = solve(paf, "com", set(names[::2]), heuristic="given-order", order=names)
     assert res.value == 1
+
+
+def test_coprime_denominators_match_oracle():
+    # a 3x6 grid whose 14 uncertain elements take the co-prime denominators
+    # 3, 7, 11, 13 and 97, so one DP table meets several of them
+    paf, _ = generate_grid(GridSpec(3, 6, 1))
+    prob = {}
+    for i, e in enumerate(list(paf.af.arguments) + sorted(paf.af.attacks)):
+        d = (3, 7, 11, 13, 97)[i % 5]
+        prob[e] = Fraction(i % (d - 1) + 1, d) if i % 3 == 0 else Fraction(1)
+    paf = PAF(paf.af, {a: prob[a] for a in paf.af.arguments}, {r: prob[r] for r in paf.af.attacks})
+    # a stable extension of the all-present framework: every answer is in (0, 1)
+    S = {"a1_1", "a1_2", "a1_5", "a2_2", "a2_3", "a2_5", "a3_2", "a3_3", "a3_4", "a3_6"}
+    for sigma in ("adm", "com", "stb"):
+        exact = p_ext_oracle(paf, sigma, S)
+        assert 0 < exact < 1
+        assert solve(paf, sigma, S).value == exact
+        assert abs(solve(paf, sigma, S, mode="float").value - float(exact)) <= 1e-12
+
+
+def test_rational_rows_carry_int_numerators(cycle5, monkeypatch):
+    # every DP step sees and returns plain int masses; the answer is the one
+    # Fraction a solve builds
+    built, steps = [], []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    def checked(step):
+        def wrapper(rows, *rest):
+            out = step(rows, *rest)
+            steps.append(step.__name__)
+            assert all(type(row[5]) is int for row in rows + out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "Fraction", counting_fraction)
+    for name in ("_introduce", "_forget", "_join"):
+        monkeypatch.setattr(solver, name, checked(getattr(solver, name)))
+    td = parse_td((FIXTURES / "cycle5.td").read_text())
+    assert solve(cycle5, "com", {"a", "c", "e"}, td=td).value == Fraction(18, 25)
+    assert len(built) == 1
+    assert set(steps) == {"_introduce", "_forget", "_join"}
 
 
 def test_supplied_td_is_validated(cycle5):

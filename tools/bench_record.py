@@ -1,0 +1,115 @@
+"""Record a BENCH file: the benchmark's figures at one commit.
+
+    python3 tools/bench_record.py --pr N [--root DIR]
+
+Runs ``python3 perfbench/run.py`` of the tree at ``--root`` (default: this
+repository) with its default seed and duration, in fresh processes: ``RUNS``
+times per workload with ``--trace 0``, the workloads taking turns, then once
+per workload with ``--trace 1``.  Writes ``BENCH_<pr>.json`` at the root of
+that tree: its git sha, whether the tree has uncommitted changes, the git
+tree id of the ``src`` it measured (equal to ``git rev-parse <commit>:src``
+of the commit that holds that code, committed or not), the Python version
+and the host, and per workload the median and range of every end-to-end
+metric of ``BENCHMARK.json``, whether every run answered correctly, and the
+traced run's per-layer figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = 5
+
+
+def _run(root: Path, workload: str, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def _host() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        names = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+                 if line.startswith("model name")]
+        cpu = names[0] if names else cpu
+    return {"machine": platform.machine(), "cpu": cpu, "cpus": os.cpu_count()}
+
+
+def _git(root: Path, *args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                          env=env).stdout.strip()
+
+
+def _src_tree(root: Path) -> str | None:
+    """The git tree id of ``src`` as it is on disk, through a scratch index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git(root, "read-tree", "HEAD", env=env)
+        _git(root, "add", "-A", "--", "src", env=env)
+        return _git(root, "write-tree", "--prefix=src/", env=env) or None
+
+
+def record(root: Path, pr: int) -> dict:
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    plain = {w: [] for w in names}
+    for i in range(RUNS):
+        for w in names:
+            plain[w].append(_run(root, w, 0))
+            print(f"{w} run {i + 1}/{RUNS}: {plain[w][-1]['metrics']['qps']['value']:.4g} qps", file=sys.stderr)
+    workloads = {}
+    for w in names:
+        traced = _run(root, w, 1)
+        end_to_end = {}
+        for m in bench["end_to_end"]:
+            values = [r["metrics"][m["name"]]["value"] for r in plain[w]]
+            end_to_end[m["name"]] = {"median": statistics.median(values), "min": min(values),
+                                     "max": max(values), "unit": m["unit"], "values": values}
+        runs_all = plain[w] + [traced]
+        workloads[w] = {
+            "correct": all(r["correct"] for r in runs_all),
+            "failed": sum(r["failed"] for r in runs_all),
+            "end_to_end": end_to_end,
+            "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
+        }
+    return {
+        "pr": pr,
+        "git_sha": _git(root, "rev-parse", "HEAD") or None,
+        "uncommitted_changes": bool(_git(root, "status", "--porcelain")),
+        "src_tree": _src_tree(root),
+        "python": platform.python_version(),
+        "host": _host(),
+        "runs": RUNS,
+        "workloads": workloads,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
+    p.add_argument("--root", type=Path, default=ROOT, help="the tree to measure")
+    args = p.parse_args(argv)
+
+    result = record(args.root.resolve(), args.pr)
+    out = args.root / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0 if all(w["correct"] and not w["failed"] for w in result["workloads"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
