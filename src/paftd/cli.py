@@ -215,6 +215,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
     doc = _load_document(args.input)
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     td = treedecomp.decompose(

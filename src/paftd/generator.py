@@ -35,6 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InputError("grid dimensions must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 def draw_probability(rng: np.random.Generator) -> Fraction:

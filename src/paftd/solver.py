@@ -11,27 +11,26 @@ is in, any other present argument is undecided if it is in ``und`` and out
 otherwise.
 
 ``p`` is the accumulated mass of all compatible completions below the node,
-over the elements already forgotten.  In rational mode it is a plain int
-numerator: every row of a table shares one int denominator, so no
-``Fraction`` is built until the root answer ``Fraction(sum of masses,
-denominator)``.  Write each probability as ``n/d``.  When ``a`` is forgotten,
-its *charged* attacks are the uncertain attacks incident to ``a`` (self-attacks
-included) whose other endpoint is in the child bag.  A row's mass is
-multiplied by ``n_a`` if ``a`` is present, else by ``d_a - n_a``, and for each
-charged attack by ``n_r`` or ``d_r - n_r`` when both endpoints are present,
-else by ``d_r``; the table's denominator is the child's times ``d_a`` times
-each charged ``d_r``.  Each uncertain attack is charged exactly once, at the
-forget of its first endpoint, while the other endpoint is still in the bag
-(the bags holding an argument are connected).  The children of a join have
-therefore forgotten disjoint element sets: a joined row's mass is the product
-of the two, and its denominator the product of theirs.  Per-element
-denominators rather than one common multiple keep the numbers small when
-many distinct primes occur.  Float mode runs the same steps with the weights
-``p``, ``1 - p`` and ``1.0`` and a denominator of ``1.0``; a product with
-``1.0`` is exact, so the float products are those of the present factors
-alone, in sorted attack order.  The ``--trace`` dump decodes the masks and
-forgets the bag in sorted order under the same rule, so its ``p=`` values
-are the mass of every element introduced below the node.
+over the elements already forgotten.  It is a plain int numerator: every row
+of a table shares one int denominator.  The answer is the sum of the root
+masses over the root denominator: ``Fraction(total, den)`` in rational mode,
+the one ``Fraction`` a solve builds, and ``total / den`` in float mode, an
+int division that Python rounds once, correctly, at any size.  Write each
+probability as ``n/d``.  When ``a`` is forgotten, its *charged* attacks are
+the uncertain attacks incident to ``a`` (self-attacks included) whose other
+endpoint is in the child bag.  A row's mass is multiplied by ``n_a`` if
+``a`` is present, else by ``d_a - n_a``, and for each charged attack by
+``n_r`` or ``d_r - n_r`` when both endpoints are present, else by ``d_r``;
+the table's denominator is the child's times ``d_a`` times each charged
+``d_r``.  Each uncertain attack is charged exactly once, at the forget of its
+first endpoint, while the other endpoint is still in the bag (the bags
+holding an argument are connected).  The children of a join have therefore
+forgotten disjoint element sets: a joined row's mass is the product of the
+two, and its denominator the product of theirs.  Per-element denominators
+rather than one common multiple keep the numbers small when many distinct
+primes occur.  The ``--trace`` dump decodes the masks and forgets the bag in
+sorted order under the same rule, so its ``p=`` values are the mass of every
+element introduced below the node.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -93,13 +92,11 @@ class SolveResult:
 
 
 def _converter(mode: str):
-    """The weights of a probability in the mode's number type (present,
-    absent, charged without both endpoints present) and the map from a mass
-    and its denominator to an answer."""
+    """The map from a mass and its denominator to an answer of the mode."""
     if mode == "float":
-        return (lambda p: (f := float(p), 1.0 - f, 1.0)), operator.truediv
+        return operator.truediv
     if mode == "rational":
-        return (lambda p: (p.numerator, p.denominator - p.numerator, p.denominator)), Fraction
+        return Fraction
     raise InputError(f"unknown arithmetic mode {mode!r}")
 
 
@@ -137,7 +134,7 @@ def solve(
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
     S = paf.af.check_subset(S)
-    weights, ratio = _converter(mode)
+    answer = _converter(mode)
 
     if td is None:
         td = make_nice(decompose(paf.af, heuristic=heuristic, order=order))
@@ -146,8 +143,8 @@ def solve(
         if violations:
             raise InputError("invalid tree-decomposition: " + "; ".join(violations))
 
-    ctx = _Context(paf, S, sigma, weights, ratio)
-    tables: dict[int, tuple] = {}  # node -> (rows, denominator)
+    ctx = _Context(paf, S, sigma)
+    tables: dict[int, tuple] = {}  # node -> (rows, denominator, uncertain bag attacks)
     stats: dict[int, NodeStats] = {}
     trace_lines: list[str] | None = [] if trace else None
 
@@ -156,30 +153,28 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         node = td.nodes[t]
         if node.kind == LEAF:
-            rows, den = [(0, 0, 0, 0, 0, ctx.one)], ctx.one
+            rows, den, uncertain = [(0, 0, 0, 0, 0, 1)], 1, 0
         elif node.kind == INTRO:
-            rows, den = tables.pop(node.children[0])
+            rows, den, uncertain = tables.pop(node.children[0])
             rows = _introduce(rows, node.arg, ctx)
+            uncertain += len(ctx.charged(node.arg, ctx.mask(node.bag))[0])
         elif node.kind == FORGET:
-            rows, den = tables.pop(node.children[0])
+            rows, den, uncertain = tables.pop(node.children[0])
             charged, charged_den = ctx.charged(node.arg, ctx.mask(node.bag) | ctx.bit[node.arg])
             rows, den = _forget(rows, node.arg, charged, ctx), den * charged_den
+            uncertain -= len(charged)
         else:
-            left, left_den = tables.pop(node.children[0])
-            right, right_den = tables.pop(node.children[1])
+            left, left_den, uncertain = tables.pop(node.children[0])
+            right, right_den, _ = tables.pop(node.children[1])
             rows, den = _join(left, right), left_den * right_den
-        tables[t] = rows, den
-        uncertain = ctx.uncertain_attacks_within(node.bag)
+        tables[t] = rows, den, uncertain
         stats[t] = NodeStats(node.kind, len(node.bag), uncertain, len(rows))
         if trace_lines is not None:
-            trace_lines.extend(_dump(t, rows, den, node.bag, ctx, mode))
+            trace_lines.extend(_dump(t, rows, den, node.bag, ctx, answer))
 
-    rows, den = tables[td.root]
-    total = ctx.zero  # not sum(): it compensates float sums from Python 3.12 on
-    for row in rows:
-        total = total + row[5]
+    rows, den, _ = tables[td.root]
     return SolveResult(
-        ctx.ratio(total, den),
+        answer(sum(row[5] for row in rows), den),
         sigma,
         mode,
         td.width(),
@@ -189,25 +184,29 @@ def solve(
     )
 
 
-class _Context:
-    """Per-solve constants: the weights of each probability in the active
-    number type, one bit per argument (canonical order) and one per attack
-    (sorted order)."""
+def _weights(p: Fraction):
+    """The weights of ``p = n/d``: present, absent, and charged without both
+    endpoints present."""
+    return p.numerator, p.denominator - p.numerator, p.denominator
 
-    def __init__(self, paf: PAF, S, sigma, weights, ratio):
+
+class _Context:
+    """Per-solve constants: the int weights ``(n, d - n, d)`` of each
+    probability ``n/d``, one bit per argument (canonical order) and one per
+    attack (sorted order)."""
+
+    def __init__(self, paf: PAF, S, sigma):
         self.sigma = sigma
-        self.ratio = ratio
-        self.one, self.zero, _ = weights(1)  # (1, 0, 1), or (1.0, 0.0, 1.0) in float mode
         self.bit = {a: 1 << i for i, a in enumerate(paf.af.arguments)}
         self.s_mask = self.mask(S)
-        self.warg = {a: weights(p) for a, p in paf.arg_prob.items()}
+        self.warg = {a: _weights(p) for a, p in paf.arg_prob.items()}
         self.arg_certain = {a: paf.arg_certain(a) for a in paf.af.arguments}
         self.attacks = sorted(paf.af.attacks)
         # per argument, its attacks in sorted order as (attack bit, endpoint
         # mask, source bit, target bit, weights or None when certain)
         self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
         for i, (x, y) in enumerate(self.attacks):
-            w = None if paf.att_certain((x, y)) else weights(paf.att_prob[x, y])
+            w = None if paf.att_certain((x, y)) else _weights(paf.att_prob[x, y])
             entry = (1 << i, self.bit[x] | self.bit[y], self.bit[x], self.bit[y], w)
             for a in {x, y}:
                 self.incident[a].append(entry)
@@ -215,12 +214,6 @@ class _Context:
 
     def mask(self, args) -> int:
         return sum(self.bit[a] for a in args)
-
-    def uncertain_attacks_within(self, bag) -> int:
-        bag_mask = self.mask(bag)
-        return len(
-            {r[0] for a in bag for r in self.incident[a] if r[4] is not None and not r[1] & ~bag_mask}
-        )
 
     def charged(self, a: str, bag_mask: int):
         """The uncertain attacks charged where ``a`` leaves a bag, those
@@ -319,11 +312,11 @@ def _join(left, right):
     return out
 
 
-def _format_value(p, mode: str) -> str:
-    return repr(p) if mode == "float" else exact_text(p)
+def _format_value(value) -> str:
+    return repr(value) if isinstance(value, float) else exact_text(value)
 
 
-def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
+def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
     order = sorted(bag)
 
     def names(mask):
@@ -355,6 +348,6 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(
             f"node={node_id} F=({','.join(args)};{attstr}) L=({ins};{outs};{unds}) "
-            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(ctx.ratio(p, den), mode)}"
+            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(answer(p, den))}"
         )
     return lines

@@ -176,6 +176,15 @@ def test_input_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "--grid", "2x2", "--seed", "-1"], ["decompose", CYCLE5, "--seed", "-1"]],
+)
+def test_negative_seed_is_an_input_error(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_capacity_errors_exit_4(tmp_path, capsys):
     lines = [f"arg x{i} 0.5" for i in range(40)]
     big = tmp_path / "big.paf"
