@@ -113,7 +113,7 @@ def _cmd_solve(args) -> int:
                 deadline=deadline,
             )
         )
-        return solved[0].value
+        return solved[0].exact
 
     value, status = preprocess.query_ext(
         paf, sigma, S, engine, mode=args.mode, enabled=args.preprocess == "on", td=td

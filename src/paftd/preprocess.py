@@ -101,19 +101,22 @@ def simplify_for_acc(paf: PAF, a: str) -> bool:
 def query_ext(paf: PAF, sigma: str, S, engine, mode: str = "rational", enabled: bool = True, td=None):
     """Answer a P-Ext query, simplifying it first where that is sound.
 
-    ``engine(instance)`` returns the probability that S is a sigma-extension
-    of ``instance``.  Preprocessing runs only when ``enabled``, for the
-    complete semantics, and when no ``td`` is given (a TD describes the
-    unreduced graph).  A zero outcome is answered without the engine;
-    otherwise the engine's value is scaled by the reduction's multiplier,
-    converted to float in float ``mode``.
+    ``engine(instance)`` returns the exact probability that S is a
+    sigma-extension of ``instance``.  Preprocessing runs only when
+    ``enabled``, for the complete semantics, and when no ``td`` is given (a
+    TD describes the unreduced graph).  A zero outcome is answered without
+    the engine; otherwise the engine's value is scaled by the reduction's
+    multiplier.  The answer is exact, or in float ``mode`` the exact answer
+    rounded once.
 
     Returns ``(value, status)`` with status ``"off"``, ``"on"`` or ``"zero"``.
     """
     if not enabled or sigma != "com" or td is not None:
-        return engine(paf), "off"
-    reduction = simplify_for_ext(paf, S)
-    if reduction.zero:
-        return (0.0 if mode == "float" else Fraction(0)), "zero"
-    scale = float(reduction.multiplier) if mode == "float" else reduction.multiplier
-    return engine(reduction.paf) * scale, "on"
+        value, status = engine(paf), "off"
+    else:
+        reduction = simplify_for_ext(paf, S)
+        if reduction.zero:
+            value, status = Fraction(0), "zero"
+        else:
+            value, status = engine(reduction.paf) * reduction.multiplier, "on"
+    return (float(value) if mode == "float" else value), status

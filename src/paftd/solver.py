@@ -13,9 +13,9 @@ otherwise.
 ``p`` is the accumulated mass of all compatible completions below the node,
 over the elements already forgotten.  It is a plain int numerator: every row
 of a table shares one int denominator.  The answer is the sum of the root
-masses over the root denominator: ``Fraction(total, den)`` in rational mode,
-the one ``Fraction`` a solve builds, and ``total / den`` in float mode, an
-int division that Python rounds once, correctly, at any size.  Write each
+masses over the root denominator, ``Fraction(total, den)``: the one
+``Fraction`` a solve builds.  Float mode rounds it once, correctly, at any
+size, in ``SolveResult.value`` and in ``query_ext``.  Write each
 probability as ``n/d``.  When ``a`` is forgotten, its *charged* attacks are
 the uncertain attacks incident to ``a`` (self-attacks included) whose other
 endpoint is in the child bag.  A row's mass is multiplied by ``n_a`` if
@@ -79,7 +79,7 @@ class NodeStats:
 
 @dataclass
 class SolveResult:
-    value: Fraction | float
+    exact: Fraction
     semantics: str
     mode: str
     width: int
@@ -87,12 +87,17 @@ class SolveResult:
     node_stats: dict[int, NodeStats]
     trace: list[str] | None = None
 
+    @property
+    def value(self) -> Fraction | float:
+        """The answer in the result's mode: exact, or the exact answer rounded once."""
+        return float(self.exact) if self.mode == "float" else self.exact
+
     def max_table_rows(self) -> int:
         return max(s.rows for s in self.node_stats.values())
 
 
 def _converter(mode: str):
-    """The map from a mass and its denominator to an answer of the mode."""
+    """The map from a mass and its denominator to a ``--trace`` value of the mode."""
     if mode == "float":
         return operator.truediv
     if mode == "rational":
@@ -109,7 +114,7 @@ def p_ext(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
     _converter(mode)  # reject an unknown mode even when preprocessing alone answers
 
     def engine(instance):
-        return solve(instance, sigma, S, mode=mode, td=td).value
+        return solve(instance, sigma, S, mode=mode, td=td).exact
 
     return query_ext(paf, sigma, S, engine, mode=mode, td=td)[0]
 
@@ -151,30 +156,30 @@ def solve(
     for t in td.post_order():
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("solver ran out of time")
-        node = td.nodes[t]
-        if node.kind == LEAF:
+        kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
+        if kind == LEAF:
             rows, den, uncertain = [(0, 0, 0, 0, 0, 1)], 1, 0
-        elif node.kind == INTRO:
-            rows, den, uncertain = tables.pop(node.children[0])
-            rows = _introduce(rows, node.arg, ctx)
-            uncertain += len(ctx.charged(node.arg, ctx.mask(node.bag))[0])
-        elif node.kind == FORGET:
-            rows, den, uncertain = tables.pop(node.children[0])
-            charged, charged_den = ctx.charged(node.arg, ctx.mask(node.bag) | ctx.bit[node.arg])
-            rows, den = _forget(rows, node.arg, charged, ctx), den * charged_den
+        elif kind == INTRO:
+            rows, den, uncertain = tables.pop(kids[0])
+            rows = _introduce(rows, a, ctx)
+            uncertain += len(ctx.charged(a, ctx.mask(bag))[0])
+        elif kind == FORGET:
+            rows, den, uncertain = tables.pop(kids[0])
+            charged, charged_den = ctx.charged(a, ctx.mask(bag) | ctx.bit[a])
+            rows, den = _forget(rows, a, charged, ctx), den * charged_den
             uncertain -= len(charged)
         else:
-            left, left_den, uncertain = tables.pop(node.children[0])
-            right, right_den, _ = tables.pop(node.children[1])
+            left, left_den, uncertain = tables.pop(kids[0])
+            right, right_den, _ = tables.pop(kids[1])
             rows, den = _join(left, right), left_den * right_den
         tables[t] = rows, den, uncertain
-        stats[t] = NodeStats(node.kind, len(node.bag), uncertain, len(rows))
+        stats[t] = NodeStats(kind, len(bag), uncertain, len(rows))
         if trace_lines is not None:
-            trace_lines.extend(_dump(t, rows, den, node.bag, ctx, answer))
+            trace_lines.extend(_dump(t, rows, den, bag, ctx, answer))
 
     rows, den, _ = tables[td.root]
     return SolveResult(
-        answer(sum(row[5] for row in rows), den),
+        Fraction(sum(row[5] for row in rows), den),
         sigma,
         mode,
         td.width(),

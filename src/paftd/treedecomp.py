@@ -2,9 +2,12 @@
 
 Decompositions are built from an elimination ordering (min-fill by default)
 with the usual bag-tree assembly: the bag of an eliminated vertex hangs below
-the bag of its first-eliminated remaining neighbor.  ``make_nice`` rewrites
-any valid decomposition into one with empty root and leaf bags and typed
-introduce/forget/join nodes, preserving the width exactly.
+the bag of its first-eliminated remaining neighbor.  A decomposition is three
+dicts over integer node ids: ``bags``, ``children`` and the ``root``.  A nice
+decomposition is the same tree with two more per-node dicts, ``kind`` (leaf,
+introduce, forget or join) and ``arg`` (the argument an introduce or forget
+node adds or drops).  ``make_nice`` rewrites any valid decomposition into one
+with empty root and leaf bags, preserving the width exactly.
 """
 
 from __future__ import annotations
@@ -34,166 +37,129 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags.values()) - 1
 
     def post_order(self):
-        out, stack = [], [self.root]
+        """The nodes below the root, children first; reaching a node twice
+        (a cycle, or a node with two parents) is an input error."""
+        out, stack, seen = [], [self.root], set()
         while stack:
             t = stack.pop()
+            if t in seen:
+                raise InputError(f"tree-decomposition reaches node {t} twice")
+            seen.add(t)
             out.append(t)
             stack.extend(self.children.get(t, ()))
         return list(reversed(out))
 
     def validate(self, af: AF) -> list[str]:
-        return _validate_bags(self.bags, self.children, self.root, af)
-
-    def serialize(self) -> str:
-        return _serialize(self.bags, self.children, types=None)
-
-
-@dataclass
-class NiceNode:
-    id: int
-    kind: str
-    bag: frozenset[str]
-    children: tuple[int, ...]
-    arg: str | None = None
-
-
-@dataclass
-class NiceTreeDecomposition:
-    nodes: dict[int, NiceNode]
-    root: int
-
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def width(self) -> int:
-        return max(len(n.bag) for n in self.nodes.values()) - 1
-
-    def post_order(self):
-        out, stack = [], [self.root]
+        bags, children = self.bags, self.children
+        violations = []
+        parents = {}
+        for t, kids in children.items():
+            for c in kids:
+                if c in parents:
+                    violations.append(f"node {c} has two parents")
+                parents[c] = t
+        reachable = set()
+        stack = [self.root]
         while stack:
             t = stack.pop()
-            out.append(t)
-            stack.extend(self.nodes[t].children)
-        return list(reversed(out))
+            if t in reachable:
+                violations.append(f"cycle through node {t}")
+                break
+            reachable.add(t)
+            stack.extend(children.get(t, ()))
+        if reachable != set(bags):
+            violations.append("tree is not connected or has unreachable nodes")
+            return violations
+
+        holders: dict[str, set[int]] = {}
+        for t, b in bags.items():
+            for a in b:
+                holders.setdefault(a, set()).add(t)
+        covered = set().union(*bags.values()) if bags else set()
+        for a in af.arguments:
+            if a not in covered:
+                violations.append(f"argument {a} appears in no bag")
+        for a in sorted(covered - set(af.arguments)):
+            violations.append(f"bag element {a} is not an argument")
+        for x, y in sorted(af.attacks):
+            if holders.get(x, set()).isdisjoint(holders.get(y, ())):
+                violations.append(f"attack ({x},{y}) is covered by no bag")
+        for a in af.arguments:
+            holderset = holders.get(a)
+            if not holderset:
+                continue
+            # connectedness: the holders must induce a subtree
+            start = next(iter(holderset))
+            seen = {start}
+            stack = [start]
+            while stack:
+                t = stack.pop()
+                for nb in list(children.get(t, ())) + ([parents[t]] if t in parents else []):
+                    if nb in holderset and nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+            if seen != holderset:
+                violations.append(f"bags containing {a} are not connected")
+        return violations
+
+    def serialize(self) -> str:
+        lines = [" ".join(["bag", str(t), *sorted(self.bags[t])]).rstrip() for t in sorted(self.bags)]
+        lines += [f"edge {t} {c}" for t in sorted(self.children) for c in self.children[t]]
+        if isinstance(self, NiceTreeDecomposition):
+            for t in sorted(self.kind):
+                kind = self.kind[t]
+                label = f"{kind}:{self.arg[t]}" if kind in (INTRO, FORGET) else kind
+                lines.append(f"type {t} {label}")
+        return "\n".join(lines) + "\n"
+
+
+@dataclass
+class NiceTreeDecomposition(TreeDecomposition):
+    """A tree-decomposition with typed nodes: ``kind[t]`` is leaf, intro,
+    forget or join, and ``arg[t]`` the argument an introduce or forget node
+    adds or drops (unused at other nodes)."""
+
+    kind: dict[int, str]
+    arg: dict[int, str | None]
 
     def validate(self, af: AF) -> list[str]:
-        bags = {i: n.bag for i, n in self.nodes.items()}
-        children = {i: n.children for i, n in self.nodes.items()}
-        violations = _validate_bags(bags, children, self.root, af)
-        violations.extend(self._validate_shape())
-        return violations
+        return super().validate(af) + self._validate_shape()
 
     def _validate_shape(self) -> list[str]:
         v = []
-        if self.nodes[self.root].bag:
+        if self.bags[self.root]:
             v.append("root bag is not empty")
-        for n in self.nodes.values():
-            if n.kind == LEAF:
-                if n.children:
-                    v.append(f"leaf node {n.id} has children")
-                if n.bag:
-                    v.append(f"leaf node {n.id} has a non-empty bag")
-            elif n.kind == INTRO:
-                if len(n.children) != 1:
-                    v.append(f"introduce node {n.id} must have one child")
+        for t, kind in self.kind.items():
+            bag, kids, a = self.bags[t], self.children[t], self.arg[t]
+            if kind == LEAF:
+                if kids:
+                    v.append(f"leaf node {t} has children")
+                if bag:
+                    v.append(f"leaf node {t} has a non-empty bag")
+            elif kind == INTRO:
+                if len(kids) != 1:
+                    v.append(f"introduce node {t} must have one child")
                     continue
-                child = self.nodes[n.children[0]]
-                if n.arg is None or n.arg in child.bag or n.bag != child.bag | {n.arg}:
-                    v.append(f"introduce node {n.id} does not add exactly {n.arg!r}")
-            elif n.kind == FORGET:
-                if len(n.children) != 1:
-                    v.append(f"forget node {n.id} must have one child")
+                child = self.bags[kids[0]]
+                if a is None or a in child or bag != child | {a}:
+                    v.append(f"introduce node {t} does not add exactly {a!r}")
+            elif kind == FORGET:
+                if len(kids) != 1:
+                    v.append(f"forget node {t} must have one child")
                     continue
-                child = self.nodes[n.children[0]]
-                if n.arg is None or n.arg not in child.bag or n.bag != child.bag - {n.arg}:
-                    v.append(f"forget node {n.id} does not drop exactly {n.arg!r}")
-            elif n.kind == JOIN:
-                if len(n.children) != 2:
-                    v.append(f"join node {n.id} must have two children")
+                child = self.bags[kids[0]]
+                if a is None or a not in child or bag != child - {a}:
+                    v.append(f"forget node {t} does not drop exactly {a!r}")
+            elif kind == JOIN:
+                if len(kids) != 2:
+                    v.append(f"join node {t} must have two children")
                     continue
-                b1, b2 = (self.nodes[c].bag for c in n.children)
-                if not n.bag == b1 == b2:
-                    v.append(f"join node {n.id} bags differ")
+                b1, b2 = (self.bags[c] for c in kids)
+                if not bag == b1 == b2:
+                    v.append(f"join node {t} bags differ")
             else:
-                v.append(f"node {n.id} has unknown kind {n.kind!r}")
+                v.append(f"node {t} has unknown kind {kind!r}")
         return v
-
-    def serialize(self) -> str:
-        bags = {i: n.bag for i, n in self.nodes.items()}
-        children = {i: n.children for i, n in self.nodes.items()}
-        types = {}
-        for i, n in self.nodes.items():
-            if n.kind in (INTRO, FORGET):
-                types[i] = f"{n.kind}:{n.arg}"
-            else:
-                types[i] = n.kind
-        return _serialize(bags, children, types)
-
-
-def _validate_bags(bags, children, root, af: AF) -> list[str]:
-    violations = []
-    parents = {}
-    for t, kids in children.items():
-        for c in kids:
-            if c in parents:
-                violations.append(f"node {c} has two parents")
-            parents[c] = t
-    reachable = set()
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        if t in reachable:
-            violations.append(f"cycle through node {t}")
-            break
-        reachable.add(t)
-        stack.extend(children.get(t, ()))
-    if reachable != set(bags):
-        violations.append("tree is not connected or has unreachable nodes")
-        return violations
-
-    holders: dict[str, set[int]] = {}
-    for t, b in bags.items():
-        for a in b:
-            holders.setdefault(a, set()).add(t)
-    covered = set().union(*bags.values()) if bags else set()
-    for a in af.arguments:
-        if a not in covered:
-            violations.append(f"argument {a} appears in no bag")
-    for a in sorted(covered - set(af.arguments)):
-        violations.append(f"bag element {a} is not an argument")
-    for x, y in sorted(af.attacks):
-        if holders.get(x, set()).isdisjoint(holders.get(y, ())):
-            violations.append(f"attack ({x},{y}) is covered by no bag")
-    for a in af.arguments:
-        holderset = holders.get(a)
-        if not holderset:
-            continue
-        # connectedness: the holders must induce a subtree
-        start = next(iter(holderset))
-        seen = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for nb in list(children.get(t, ())) + ([parents[t]] if t in parents else []):
-                if nb in holderset and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != holderset:
-            violations.append(f"bags containing {a} are not connected")
-    return violations
-
-
-def _serialize(bags, children, types) -> str:
-    lines = []
-    for t in sorted(bags):
-        lines.append(" ".join(["bag", str(t), *sorted(bags[t])]).rstrip())
-    for t in sorted(children):
-        for c in children[t]:
-            lines.append(f"edge {t} {c}")
-    if types is not None:
-        for t in sorted(types):
-            lines.append(f"type {t} {types[t]}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_td(text: str):
@@ -235,15 +201,15 @@ def parse_td(text: str):
     root = roots[0]
     if not types:
         return TreeDecomposition(bags, children, root)
-    nodes = {}
+    kind, arg = {}, {}
     for t in bags:
         if t not in types:
             raise InputError(f"nice TD is missing a type for node {t}")
-        kind, _, arg = types[t].partition(":")
-        if kind not in (LEAF, INTRO, FORGET, JOIN):
+        kind[t], _, a = types[t].partition(":")
+        if kind[t] not in (LEAF, INTRO, FORGET, JOIN):
             raise InputError(f"unknown node type {types[t]!r} for node {t}")
-        nodes[t] = NiceNode(t, kind, bags[t], children[t], arg or None)
-    return NiceTreeDecomposition(nodes, root)
+        arg[t] = a or None
+    return NiceTreeDecomposition(bags, children, root, kind, arg)
 
 
 def _undirected_adjacency(af: AF) -> dict[str, set[str]]:
@@ -334,19 +300,18 @@ def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> Tree
 
 class _NiceBuilder:
     def __init__(self):
-        self.nodes: dict[int, NiceNode] = {}
-        self._next = 0
+        self.td = NiceTreeDecomposition({}, {}, 0, {}, {})
 
     def add(self, kind, bag, children=(), arg=None) -> int:
-        i = self._next
-        self._next += 1
-        self.nodes[i] = NiceNode(i, kind, frozenset(bag), tuple(children), arg)
+        td = self.td
+        i = len(td.bags)
+        td.bags[i], td.children[i], td.kind[i], td.arg[i] = frozenset(bag), tuple(children), kind, arg
         return i
 
     def chain(self, below: int, target_bag: frozenset[str]) -> int:
         """Forget-then-introduce chain from the bag of ``below`` to ``target_bag``."""
         cur = below
-        bag = set(self.nodes[below].bag)
+        bag = set(self.td.bags[below])
         for a in sorted(bag - target_bag):
             bag.discard(a)
             cur = self.add(FORGET, bag, (cur,), a)
@@ -371,4 +336,5 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             cur = b.chain(b.add(LEAF, frozenset()), td.bags[t])
         # chain up before the next sibling's subtree starts: node ids stay depth-first
         tops[t] = b.chain(cur, td.bags[parent[t]] if t in parent else frozenset())
-    return NiceTreeDecomposition(b.nodes, tops[td.root])
+    b.td.root = tops[td.root]
+    return b.td

@@ -185,6 +185,29 @@ def test_negative_seed_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ["edge 0 1", "edge 1 2", "edge 2 1"],  # a cycle below the root
+        ["edge 0 1", "edge 0 1", "edge 1 2"],  # node 1 hangs below node 0 twice
+    ],
+)
+def test_malformed_td_file_is_an_input_error(tmp_path, edges):
+    td_file = tmp_path / "bad.td"
+    td_file.write_text("\n".join(["bag 0 a b", "bag 1 b c", "bag 2 c d", *edges]) + "\n")
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    # a subprocess with a timeout, so that a solver that loops fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "paftd", "solve", CHAIN5, "--set", "a", "--td-file", str(td_file)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_capacity_errors_exit_4(tmp_path, capsys):
     lines = [f"arg x{i} 0.5" for i in range(40)]
     big = tmp_path / "big.paf"

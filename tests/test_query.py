@@ -2,14 +2,16 @@
 as ``paftd solve``, ``paftd oracle --ext`` and the library ``p_ext`` run it."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from paftd import InputError, decompose, make_nice, p_ext, p_ext_oracle, parse_paf, solver
 from paftd.cli import run
+from paftd.preprocess import simplify_for_ext
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_paf, random_subset
 
 CHAIN5 = str(FIXTURES / "chain5.paf")
 
@@ -88,3 +90,25 @@ def test_library_p_ext_hands_the_reduced_instance_to_the_dp(chain5, monkeypatch)
     assert seen == []
     assert p_ext(chain5, "com", {"a", "e"}, mode="float") == 0.375
     assert seen == [("a", "b", "c", "e")]
+
+
+def test_float_answer_after_preprocessing_is_rounded_once():
+    rnd = random.Random(44)
+    reduced = 0
+    for _ in range(300):
+        paf = random_paf(rnd)
+        S = random_subset(rnd, paf)
+        assert p_ext(paf, "com", S, mode="float") == float(p_ext(paf, "com", S))
+        reduction = simplify_for_ext(paf, S)
+        reduced += not reduction.zero and reduction.paf.af.arguments != paf.af.arguments
+    assert reduced >= 50  # preprocessing removed an argument, so the answer was scaled
+
+
+def test_solve_float_rounds_the_scaled_answer_once(tmp_path, capsys):
+    # x0 is forced in, uncertain and outside S: preprocessing removes it and
+    # scales the answer on x1 alone (1/5) by 1 - 4/5
+    path = tmp_path / "pair.paf"
+    path.write_text("arg x0 0.8\narg x1 0.2\nset x1\n")
+    rec = run_json(capsys, ["solve", str(path), "--mode", "float"])
+    assert rec["preprocess"] == "on"
+    assert rec["answer"] == repr(float(Fraction(1, 25))) == "0.04"

@@ -19,6 +19,7 @@ from paftd import (
     parse_paf,
     parse_td,
 )
+from paftd.cli import run
 
 from conftest import FIXTURES, random_paf
 
@@ -100,6 +101,49 @@ def test_serialize_round_trip():
     assert nice_back.serialize() == nice.serialize()
 
 
+# ``paftd decompose chain5.paf --nice``: min-fill eliminates b first, then a,
+# c, d and e; node ids are depth-first and edges and types follow in id order
+CHAIN5_NICE = (
+    "bag 0\n"
+    "bag 1 a\n"
+    "bag 2 a b\n"
+    "bag 3 a\n"
+    "bag 4 a c\n"
+    "bag 5 c\n"
+    "bag 6 c d\n"
+    "bag 7 d\n"
+    "bag 8 d e\n"
+    "bag 9 e\n"
+    "bag 10\n"
+    "edge 1 0\n"
+    "edge 2 1\n"
+    "edge 3 2\n"
+    "edge 4 3\n"
+    "edge 5 4\n"
+    "edge 6 5\n"
+    "edge 7 6\n"
+    "edge 8 7\n"
+    "edge 9 8\n"
+    "edge 10 9\n"
+    "type 0 leaf\n"
+    "type 1 intro:a\n"
+    "type 2 intro:b\n"
+    "type 3 forget:b\n"
+    "type 4 intro:c\n"
+    "type 5 forget:a\n"
+    "type 6 intro:d\n"
+    "type 7 forget:c\n"
+    "type 8 intro:e\n"
+    "type 9 forget:d\n"
+    "type 10 forget:e\n"
+)
+
+
+def test_decompose_nice_output_is_pinned(capsys):
+    assert run(["decompose", str(FIXTURES / "chain5.paf"), "--nice"]) == 0
+    assert capsys.readouterr().out == CHAIN5_NICE
+
+
 def test_validator_reports_violations():
     af = chain_af(3)
     # x1 missing from every bag, and the (x1,x2) edge uncovered
@@ -145,6 +189,16 @@ def test_validator_catches_disconnected_occurrences():
         0,
     )
     assert any("not connected" in v for v in td.validate(af))
+
+
+def test_post_order_rejects_a_node_reached_twice():
+    bags = {0: frozenset({"a", "b"}), 1: frozenset({"b", "c"})}
+    for children in ({0: (1, 1), 1: ()}, {0: (1,), 1: (1,)}):
+        td = TreeDecomposition(bags, children, 0)
+        with pytest.raises(InputError, match="node 1 twice"):
+            td.post_order()
+        with pytest.raises(InputError, match="node 1 twice"):
+            make_nice(td)
 
 
 def test_cycle5_td_shape_is_accepted():

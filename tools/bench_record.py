@@ -4,14 +4,16 @@
 
 Runs ``python3 perfbench/run.py`` of the tree at ``--root`` (default: this
 repository) with its default seed and duration, in fresh processes: ``RUNS``
-times per workload with ``--trace 0``, the workloads taking turns, then once
-per workload with ``--trace 1``.  Writes ``BENCH_<pr>.json`` at the root of
-that tree: its git sha, whether the tree has uncommitted changes, the git
-tree id of the ``src`` it measured (equal to ``git rev-parse <commit>:src``
-of the commit that holds that code, committed or not), the Python version
-and the host, and per workload the median and range of every end-to-end
-metric of ``BENCHMARK.json``, whether every run answered correctly, and the
-traced run's per-layer figures.
+times per workload with ``--trace 0``, then ``TRACED_RUNS`` times per
+workload with ``--trace 1``, the workloads taking turns in both.  Writes
+``BENCH_<pr>.json`` at the root of that tree: its git sha, whether the tree
+has uncommitted changes, the git tree id of the ``src`` it measured (equal
+to ``git rev-parse <commit>:src`` of the commit that holds that code,
+committed or not), the Python version and the host, and per workload the
+median and range of every end-to-end metric of ``BENCHMARK.json``, whether
+every run answered correctly, and the median and values of every per-layer
+figure of the traced runs.  One traced run's figures swing with the host's
+speed; the median of several swings less.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = 5
+TRACED_RUNS = 3
 
 
 def _run(root: Path, workload: str, trace: int) -> dict:
@@ -63,28 +66,39 @@ def _src_tree(root: Path) -> str | None:
         return _git(root, "write-tree", "--prefix=src/", env=env) or None
 
 
+def _runs(root: Path, names: list[str], trace: int, count: int) -> dict[str, list[dict]]:
+    """``count`` runs of every workload, the workloads taking turns."""
+    runs = {w: [] for w in names}
+    for i in range(count):
+        for w in names:
+            runs[w].append(_run(root, w, trace))
+            qps = runs[w][-1]["metrics"]["trace.qps_traced" if trace else "qps"]["value"]
+            print(f"{w} --trace {trace} run {i + 1}/{count}: {qps:.4g} qps", file=sys.stderr)
+    return runs
+
+
 def record(root: Path, pr: int) -> dict:
     bench = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    plain = {w: [] for w in names}
-    for i in range(RUNS):
-        for w in names:
-            plain[w].append(_run(root, w, 0))
-            print(f"{w} run {i + 1}/{RUNS}: {plain[w][-1]['metrics']['qps']['value']:.4g} qps", file=sys.stderr)
+    plain = _runs(root, names, 0, RUNS)
+    traced = _runs(root, names, 1, TRACED_RUNS)
     workloads = {}
     for w in names:
-        traced = _run(root, w, 1)
         end_to_end = {}
         for m in bench["end_to_end"]:
             values = [r["metrics"][m["name"]]["value"] for r in plain[w]]
             end_to_end[m["name"]] = {"median": statistics.median(values), "min": min(values),
                                      "max": max(values), "unit": m["unit"], "values": values}
-        runs_all = plain[w] + [traced]
+        per_layer = {}
+        for k, v in traced[w][0]["metrics"].items():
+            values = [r["metrics"][k]["value"] for r in traced[w]]
+            per_layer[k] = {"median": statistics.median(values), "unit": v["unit"], "values": values}
+        runs_all = plain[w] + traced[w]
         workloads[w] = {
             "correct": all(r["correct"] for r in runs_all),
             "failed": sum(r["failed"] for r in runs_all),
             "end_to_end": end_to_end,
-            "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
+            "per_layer": per_layer,
         }
     return {
         "pr": pr,
@@ -94,6 +108,7 @@ def record(root: Path, pr: int) -> dict:
         "python": platform.python_version(),
         "host": _host(),
         "runs": RUNS,
+        "traced_runs": TRACED_RUNS,
         "workloads": workloads,
     }
 
