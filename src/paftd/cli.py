@@ -94,9 +94,6 @@ def _cmd_solve(args) -> int:
         raise InputError("no query set: pass --set or add a set line to the file")
 
     td = _load_td(args.td_file) if args.td_file else None
-    if td is not None and not isinstance(td, treedecomp.NiceTreeDecomposition):
-        td = treedecomp.make_nice(td)
-
     solved = []
 
     def engine(instance):

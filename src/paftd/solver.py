@@ -57,6 +57,7 @@ from .treedecomp import (
     JOIN,
     LEAF,
     NiceTreeDecomposition,
+    TreeDecomposition,
     decompose,
     make_nice,
 )
@@ -130,12 +131,19 @@ def solve(
     sigma: str,
     S,
     mode: str = "rational",
-    td: NiceTreeDecomposition | None = None,
+    td: TreeDecomposition | None = None,
     heuristic: str = "min-fill",
     order=None,
     trace: bool = False,
     deadline: float | None = None,
 ) -> SolveResult:
+    """Run the DP: the probability that S is a sigma-extension of ``paf``.
+
+    ``td`` may be plain or nice; it is validated against ``paf`` and made
+    nice if plain.  ``heuristic`` and ``order`` build the decomposition only
+    when ``td`` is None.  ``deadline`` (a ``time.monotonic()`` value) is
+    checked between nodes.
+    """
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
     S = paf.af.check_subset(S)
@@ -147,6 +155,8 @@ def solve(
         violations = td.validate(paf.af)
         if violations:
             raise InputError("invalid tree-decomposition: " + "; ".join(violations))
+        if not isinstance(td, NiceTreeDecomposition):
+            td = make_nice(td)
 
     ctx = _Context(paf, S, sigma)
     tables: dict[int, tuple] = {}  # node -> (rows, denominator, uncertain bag attacks)

@@ -7,7 +7,10 @@ dicts over integer node ids: ``bags``, ``children`` and the ``root``.  A nice
 decomposition is the same tree with two more per-node dicts, ``kind`` (leaf,
 introduce, forget or join) and ``arg`` (the argument an introduce or forget
 node adds or drops).  ``make_nice`` rewrites any valid decomposition into one
-with empty root and leaf bags, preserving the width exactly.
+with empty root and leaf bags, preserving the width exactly.  ``post_order``
+is the one tree walk.  In the same pass ``validate`` counts each element's
+top holders (the root, or a holder whose parent lacks it): one per connected
+part of its bags, so they are connected iff there is one.
 """
 
 from __future__ import annotations
@@ -50,55 +53,32 @@ class TreeDecomposition:
         return list(reversed(out))
 
     def validate(self, af: AF) -> list[str]:
-        bags, children = self.bags, self.children
-        violations = []
-        parents = {}
-        for t, kids in children.items():
-            for c in kids:
-                if c in parents:
-                    violations.append(f"node {c} has two parents")
-                parents[c] = t
-        reachable = set()
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            if t in reachable:
-                violations.append(f"cycle through node {t}")
-                break
-            reachable.add(t)
-            stack.extend(children.get(t, ()))
-        if reachable != set(bags):
-            violations.append("tree is not connected or has unreachable nodes")
-            return violations
+        try:
+            order = self.post_order()
+        except InputError as exc:
+            return [str(exc)]
+        if set(order) != set(self.bags):
+            return ["tree is not connected or has unreachable nodes"]
 
+        above = {c: self.bags[t] for t in order for c in self.children.get(t, ())}
         holders: dict[str, set[int]] = {}
-        for t, b in bags.items():
-            for a in b:
+        tops: dict[str, int] = {}  # holders whose parent lacks the element: one per connected part
+        for t in order:
+            for a in self.bags[t]:
                 holders.setdefault(a, set()).add(t)
-        covered = set().union(*bags.values()) if bags else set()
+                if a not in above.get(t, ()):
+                    tops[a] = tops.get(a, 0) + 1
+        violations = []
         for a in af.arguments:
-            if a not in covered:
+            if a not in holders:
                 violations.append(f"argument {a} appears in no bag")
-        for a in sorted(covered - set(af.arguments)):
+        for a in sorted(holders.keys() - set(af.arguments)):
             violations.append(f"bag element {a} is not an argument")
         for x, y in sorted(af.attacks):
             if holders.get(x, set()).isdisjoint(holders.get(y, ())):
                 violations.append(f"attack ({x},{y}) is covered by no bag")
         for a in af.arguments:
-            holderset = holders.get(a)
-            if not holderset:
-                continue
-            # connectedness: the holders must induce a subtree
-            start = next(iter(holderset))
-            seen = {start}
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for nb in list(children.get(t, ())) + ([parents[t]] if t in parents else []):
-                    if nb in holderset and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if seen != holderset:
+            if tops.get(a, 0) > 1:
                 violations.append(f"bags containing {a} are not connected")
         return violations
 
@@ -181,7 +161,10 @@ def parse_td(text: str):
             elif parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2])))
             elif parts[0] == "type":
-                types[int(parts[1])] = parts[2]
+                t = int(parts[1])
+                if t in types:
+                    raise InputError(f"line {lineno}: duplicate type for node {t}")
+                types[t] = parts[2]
             else:
                 raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -201,12 +184,14 @@ def parse_td(text: str):
     root = roots[0]
     if not types:
         return TreeDecomposition(bags, children, root)
+    if not types.keys() <= bags.keys():
+        raise InputError(f"type lines name undeclared bags {sorted(types.keys() - bags.keys())}")
     kind, arg = {}, {}
     for t in bags:
         if t not in types:
             raise InputError(f"nice TD is missing a type for node {t}")
         kind[t], _, a = types[t].partition(":")
-        if kind[t] not in (LEAF, INTRO, FORGET, JOIN):
+        if kind[t] not in (LEAF, INTRO, FORGET, JOIN) or (a and kind[t] in (LEAF, JOIN)):
             raise InputError(f"unknown node type {types[t]!r} for node {t}")
         arg[t] = a or None
     return NiceTreeDecomposition(bags, children, root, kind, arg)

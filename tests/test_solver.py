@@ -197,6 +197,12 @@ def test_supplied_td_is_validated(cycle5):
     other = make_nice(decompose(AF(["a", "b"])))
     with pytest.raises(InputError):
         solve(cycle5, "com", {"a"}, td=other)
+    # a plain decomposition is validated, then made nice
+    plain = decompose(cycle5.af)
+    assert solve(cycle5, "com", {"a", "c", "e"}, td=plain).value == Fraction(18, 25)
+    assert p_ext(cycle5, "com", {"a", "c", "e"}, td=plain) == Fraction(18, 25)
+    with pytest.raises(InputError, match="argument a appears in no bag"):
+        solve(cycle5, "com", {"a"}, td=decompose(AF(["b", "c", "d", "e"])))
 
 
 def test_golden_trace_rows(cycle5):

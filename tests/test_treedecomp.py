@@ -179,26 +179,35 @@ def test_validator_reports_violations():
 
 def test_validator_catches_disconnected_occurrences():
     af = chain_af(3)
-    td = TreeDecomposition(
-        {
-            0: frozenset({"x0", "x1"}),
-            1: frozenset({"x1", "x2"}),
-            2: frozenset({"x0"}),
-        },
-        {0: (1,), 1: (2,), 2: ()},
-        0,
-    )
-    assert any("not connected" in v for v in td.validate(af))
+    disconnected = ["bags containing x0 are not connected"]
+    cases = [
+        # a chain holding x0 at both ends but not in the middle
+        ({0: {"x0", "x1"}, 1: {"x1", "x2"}, 2: {"x0"}}, {0: (1,), 1: (2,), 2: ()}, disconnected),
+        # two sibling subtrees hold x0, their common parent does not
+        ({0: {"x1", "x2"}, 1: {"x0", "x1"}, 2: {"x0", "x1"}}, {0: (1, 2), 1: (), 2: ()}, disconnected),
+        # a parent and both of its children hold x0
+        ({0: {"x0", "x1"}, 1: {"x0", "x1"}, 2: {"x0", "x1", "x2"}}, {0: (1, 2), 1: (), 2: ()}, []),
+    ]
+    for bags, children, expected in cases:
+        td = TreeDecomposition({t: frozenset(b) for t, b in bags.items()}, children, 0)
+        assert td.validate(af) == expected
 
 
 def test_post_order_rejects_a_node_reached_twice():
-    bags = {0: frozenset({"a", "b"}), 1: frozenset({"b", "c"})}
-    for children in ({0: (1, 1), 1: ()}, {0: (1,), 1: (1,)}):
-        td = TreeDecomposition(bags, children, 0)
-        with pytest.raises(InputError, match="node 1 twice"):
+    af = AF(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    bags = {0: frozenset({"a", "b"}), 1: frozenset({"b", "c"}), 2: frozenset({"c"})}
+    cases = [
+        ({0: (1, 1), 1: ()}, 1),  # a repeated edge
+        ({0: (1,), 1: (1,)}, 1),  # a cycle
+        ({0: (1, 2), 1: (2,), 2: ()}, 2),  # a node below two parents
+    ]
+    for children, node in cases:
+        td = TreeDecomposition({t: bags[t] for t in children}, children, 0)
+        with pytest.raises(InputError, match=f"node {node} twice"):
             td.post_order()
-        with pytest.raises(InputError, match="node 1 twice"):
+        with pytest.raises(InputError, match=f"node {node} twice"):
             make_nice(td)
+        assert td.validate(af) == [f"tree-decomposition reaches node {node} twice"]
 
 
 def test_cycle5_td_shape_is_accepted():
@@ -213,3 +222,23 @@ def test_cycle5_td_shape_is_accepted():
 def test_parse_td_rejects_multiple_roots():
     with pytest.raises(InputError):
         parse_td("bag 0 a\nbag 1 a\n")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("bag 0\ntype 0 leaf\ntype 7 join\n", "undeclared bags \\[7\\]"),
+        ("bag 0\ntype 0 leaf:zz\n", "'leaf:zz'"),
+        ("bag 0\ntype 0 join:a\n", "'join:a'"),
+        ("bag 0\ntype 0 leaf\ntype 0 join\n", "line 3: duplicate type for node 0"),
+    ],
+    ids=["undeclared-node", "leaf-with-argument", "join-with-argument", "repeated-type"],
+)
+def test_parse_td_rejects_malformed_type_lines(text, match):
+    with pytest.raises(InputError, match=match):
+        parse_td(text)
+
+
+def test_introduce_type_without_argument_is_a_violation():
+    td = parse_td("bag 0\nbag 1\nedge 0 1\ntype 0 intro\ntype 1 leaf\n")
+    assert td.validate(AF([])) == ["introduce node 0 does not add exactly None"]
