@@ -56,22 +56,18 @@ def _answer_fields(value, mode: str) -> dict:
     return {"answer": repr(float(value)), "answerDecimal": repr(float(value))}
 
 
+def _parse_list(text: str) -> list[str]:
+    return [x for x in text.split(",") if x]
+
+
 def _parse_set(text: str) -> frozenset[str]:
-    return frozenset(x for x in text.split(",") if x)
+    return frozenset(_parse_list(text))
 
 
-def _load_document(path: str) -> paffile.PafDocument:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return paffile.parse_paf(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _load_td(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return treedecomp.parse_td(fh.read())
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -83,17 +79,19 @@ def _emit(record: dict) -> None:
 def _cmd_solve(args) -> int:
     started = time.monotonic()
     deadline = started + args.timeout if args.timeout > 0 else None
-    doc = _load_document(args.input)
+    doc = paffile.parse_paf(_read(args.input))
     paf = doc.paf
     sigma = _semantics(args.semantics, solver.DP_SEMANTICS)
     if args.set is not None:
-        S = _parse_set(args.set)
+        S = args.set
     elif doc.query_set is not None:
         S = doc.query_set
     else:
         raise InputError("no query set: pass --set or add a set line to the file")
 
-    td = _load_td(args.td_file) if args.td_file else None
+    td = treedecomp.parse_td(_read(args.td_file)) if args.td_file else None
+    if args.order is not None:  # a fixed decomposition, replayed like --td-file
+        td = treedecomp.decompose(paf.af, order=args.order)
     solved = []
 
     def engine(instance):
@@ -105,7 +103,6 @@ def _cmd_solve(args) -> int:
                 mode=args.mode,
                 td=td,
                 heuristic=args.heuristic,
-                order=_parse_order(args.order),
                 trace=args.trace,
                 deadline=deadline,
             )
@@ -131,23 +128,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_order(text):
-    if not text:
-        return None
-    return [x for x in text.split(",") if x]
-
-
 def _cmd_oracle(args) -> int:
     started = time.monotonic()
     deadline = started + args.timeout if args.timeout > 0 else None
-    doc = _load_document(args.input)
+    doc = paffile.parse_paf(_read(args.input))
     paf = doc.paf
     sigma = _semantics(args.semantics, oracle.ORACLE_SEMANTICS)
 
     queries = [q for q in (args.ext, args.acc, args.count_ext, args.count_acc) if q is not None]
     if not queries:
         if doc.query_set is not None:
-            args.ext = ",".join(sorted(doc.query_set))
+            args.ext = doc.query_set
         elif doc.query_arg is not None:
             args.acc = doc.query_arg
         else:
@@ -156,12 +147,10 @@ def _cmd_oracle(args) -> int:
         raise InputError("pass exactly one of --ext/--acc/--count-ext/--count-acc")
 
     if args.ext is not None:
-        S = _parse_set(args.ext)
-
         def engine(instance):
-            return oracle.p_ext_oracle(instance, sigma, S, cap=args.cap, deadline=deadline)
+            return oracle.p_ext_oracle(instance, sigma, args.ext, cap=args.cap, deadline=deadline)
 
-        value, _ = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on")
+        value, _ = preprocess.query_ext(paf, sigma, args.ext, engine, enabled=args.preprocess == "on")
         fields = _answer_fields(value, "rational")
     elif args.acc is not None:
         if args.preprocess == "on" and preprocess.simplify_for_acc(paf, args.acc):
@@ -170,7 +159,7 @@ def _cmd_oracle(args) -> int:
             value = oracle.p_acc_oracle(paf, sigma, args.acc, cap=args.cap, deadline=deadline)
         fields = _answer_fields(value, "rational")
     elif args.count_ext is not None:
-        fields = {"answer": oracle.count_ext(paf, sigma, _parse_set(args.count_ext), cap=args.cap, deadline=deadline)}
+        fields = {"answer": oracle.count_ext(paf, sigma, args.count_ext, cap=args.cap, deadline=deadline)}
     else:
         fields = {"answer": oracle.count_acc(paf, sigma, args.count_acc, cap=args.cap, deadline=deadline)}
 
@@ -188,7 +177,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     started = time.monotonic()
-    doc = _load_document(args.input)
+    doc = paffile.parse_paf(_read(args.input))
     paf = doc.paf
     forced = preprocess.forced_labeling(paf)
     record = {
@@ -196,7 +185,7 @@ def _cmd_preprocess(args) -> int:
         "forcedOut": sorted(forced.forced_out),
         "wallMillis": None,  # filled in last, so it covers the whole command
     }
-    S = _parse_set(args.set) if args.set is not None else doc.query_set
+    S = args.set if args.set is not None else doc.query_set
     if S is not None:
         reduction = preprocess.simplify_for_ext(paf, S)
         record["set"] = sorted(S)
@@ -214,11 +203,9 @@ def _cmd_preprocess(args) -> int:
 def _cmd_decompose(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise InputError(f"seed must be non-negative, got {args.seed}")
-    doc = _load_document(args.input)
+    doc = paffile.parse_paf(_read(args.input))
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    td = treedecomp.decompose(
-        doc.paf.af, heuristic=args.heuristic, order=_parse_order(args.order), rng=rng
-    )
+    td = treedecomp.decompose(doc.paf.af, heuristic=args.heuristic, order=args.order, rng=rng)
     if args.nice:
         td = treedecomp.make_nice(td)
     sys.stdout.write(td.serialize())
@@ -226,8 +213,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_validate_td(args) -> int:
-    doc = _load_document(args.input)
-    td = _load_td(args.td_file)
+    doc = paffile.parse_paf(_read(args.input))
+    td = treedecomp.parse_td(_read(args.td_file))
     violations = td.validate(doc.paf.af)
     _emit(
         {
@@ -260,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="P-Ext via tree-decomposition DP")
     solve.add_argument("input")
     solve.add_argument("--semantics", default="complete")
-    solve.add_argument("--set", help="comma-separated query set")
+    solve.add_argument("--set", type=_parse_set, help="comma-separated query set")
     solve.add_argument("--mode", choices=("float", "rational"), default="rational")
-    solve.add_argument("--td-file", help="replay a fixed (nice) tree-decomposition")
-    solve.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
-    solve.add_argument("--order", help="elimination order for given-order")
+    td_source = solve.add_mutually_exclusive_group()
+    td_source.add_argument("--td-file", help="replay a fixed (nice) tree-decomposition")
+    td_source.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
+    td_source.add_argument("--order", type=_parse_list, help="a fixed elimination order")
     solve.add_argument("--preprocess", choices=("on", "off"), default="on")
     solve.add_argument("--timeout", type=float, default=300.0)
     solve.add_argument("--trace", action="store_true")
@@ -273,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="brute-force enumeration ground truth")
     orc.add_argument("input")
     orc.add_argument("--semantics", default="complete")
-    orc.add_argument("--ext", help="comma-separated set for P-Ext")
+    orc.add_argument("--ext", type=_parse_set, help="comma-separated set for P-Ext")
     orc.add_argument("--acc", help="argument for P-Acc")
-    orc.add_argument("--count-ext", help="comma-separated set for scenario counting")
+    orc.add_argument("--count-ext", type=_parse_set, help="comma-separated set for scenario counting")
     orc.add_argument("--count-acc", help="argument for scenario counting")
     orc.add_argument("--cap", type=int, default=oracle.DEFAULT_UNCERTAINTY_CAP)
     orc.add_argument("--preprocess", choices=("on", "off"), default="off")
@@ -284,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     prep = sub.add_parser("preprocess", help="forced labeling and query reduction")
     prep.add_argument("input")
-    prep.add_argument("--set", help="comma-separated query set")
+    prep.add_argument("--set", type=_parse_set, help="comma-separated query set")
     prep.set_defaults(func=_cmd_preprocess)
 
     dec = sub.add_parser("decompose", help="emit a tree-decomposition")
     dec.add_argument("input")
-    dec.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
-    dec.add_argument("--order", help="elimination order for given-order")
+    order_source = dec.add_mutually_exclusive_group()
+    order_source.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
+    order_source.add_argument("--order", type=_parse_list, help="a fixed elimination order")
     dec.add_argument("--nice", action="store_true", help="emit the nice form")
     dec.add_argument("--seed", type=int, help="randomize heuristic tie-breaks")
     dec.set_defaults(func=_cmd_decompose)

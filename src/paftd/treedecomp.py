@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .core import AF
 from .errors import InputError
 
-HEURISTICS = ("min-fill", "min-degree", "given-order")
+HEURISTICS = ("min-fill", "min-degree")
 
 LEAF, INTRO, FORGET, JOIN = "leaf", "intro", "forget", "join"
 
@@ -159,12 +159,14 @@ def parse_td(text: str):
                     raise InputError(f"line {lineno}: duplicate bag {t}")
                 bags[t] = frozenset(parts[2:])
             elif parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
+                p, c = parts[1:]  # exactly two fields: a ValueError otherwise
+                edges.append((int(p), int(c)))
             elif parts[0] == "type":
-                t = int(parts[1])
+                t, label = parts[1:]
+                t = int(t)
                 if t in types:
                     raise InputError(f"line {lineno}: duplicate type for node {t}")
-                types[t] = parts[2]
+                types[t] = label
             else:
                 raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -221,12 +223,11 @@ def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
 
 
 def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None):
-    """Compute an elimination ordering of the attack graph's vertices."""
+    """An elimination ordering of the attack graph's vertices: ``order`` if
+    given (it must be a permutation of the arguments), else the heuristic's."""
     if heuristic not in HEURISTICS:
         raise InputError(f"unknown heuristic {heuristic!r}")
-    if heuristic == "given-order":
-        if order is None:
-            raise InputError("given-order requires an explicit ordering")
+    if order is not None:
         order = list(order)
         if sorted(order) != list(af.arguments):
             raise InputError("ordering is not a permutation of the arguments")
@@ -259,10 +260,7 @@ def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> Tree
     """Tree-decomposition via elimination ordering and bag-tree assembly."""
     if not af.arguments:
         return TreeDecomposition({0: frozenset()}, {0: ()}, 0)
-    if heuristic == "given-order" or order is not None:
-        order = elimination_order(af, "given-order", order)
-    else:
-        order = elimination_order(af, heuristic, rng=rng)
+    order = elimination_order(af, heuristic, order, rng)
 
     adj = _undirected_adjacency(af)
     position = {v: i for i, v in enumerate(order)}

@@ -206,9 +206,7 @@ def test_criterion_8_scaling():
         spec = GridSpec(3, n, 12345)
         paf, query = generate_grid(spec)
         t0 = time.monotonic()
-        res = solve(
-            paf, "com", query, heuristic="given-order", order=grid_elimination_order(spec)
-        )
+        res = solve(paf, "com", query, order=grid_elimination_order(spec))
         dt = time.monotonic() - t0
         if n == 50:
             elapsed = dt

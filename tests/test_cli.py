@@ -101,7 +101,7 @@ def test_huge_exact_answer_is_printed(tmp_path, capsys):
     S = frozenset(names[::2])
     path = tmp_path / "chain.paf"
     path.write_text(serialize_paf(PAF(AF(names, attacks), arg_prob, att_prob), query_set=S))
-    argv = ["solve", str(path), "--heuristic", "given-order", "--order", ",".join(names)]
+    argv = ["solve", str(path), "--order", ",".join(names)]
     code, rec = run_json(capsys, argv)
     assert code == 0
     want = chain_ext_probability(names, arg_prob, att_prob, S)
@@ -214,3 +214,122 @@ def test_capacity_errors_exit_4(tmp_path, capsys):
     big.write_text("\n".join(lines) + "\n")
     assert run(["oracle", str(big), "--ext", "x0"]) == 4
     capsys.readouterr()
+
+
+def test_solve_order_fixes_the_decomposition(capsys):
+    # preprocessing would remove d, so the order is replayed on the file's instance
+    argv = ["solve", CHAIN5, "--set", "a,e", "--order", "a,b,c,d,e"]
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert rec["answer"] == "3/8"
+    assert rec["preprocess"] == "off"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", CYCLE5, "--heuristic", "given-order", "--order", "a,b,c,d,e"],
+        ["solve", CYCLE5, "--td-file", CYCLE5_TD, "--heuristic", "min-degree"],
+        ["solve", CYCLE5, "--td-file", CYCLE5_TD, "--order", "a,b,c,d,e"],
+        ["decompose", CYCLE5, "--heuristic", "min-degree", "--order", "a,b,c,d,e"],
+    ],
+    ids=["given-order", "td-file-and-heuristic", "td-file-and-order", "decompose-heuristic-and-order"],
+)
+def test_decomposition_choices_exclude_each_other(argv, capsys):
+    assert run(argv) == 2
+    capsys.readouterr()
+
+
+def test_oracle_falls_back_to_the_file_query_set(capsys):
+    code, rec = run_json(capsys, ["oracle", CYCLE5])
+    assert code == 0
+    assert rec["answer"] == "18/25"
+
+
+def test_oracle_falls_back_to_the_file_query_argument(tmp_path, capsys):
+    path = tmp_path / "acc.paf"
+    path.write_text("arg a 0.5\narg b 1\natt a b 1\nquery b\n")
+    code, rec = run_json(capsys, ["oracle", str(path)])
+    assert code == 0
+    assert rec["answer"] == "1/2"
+
+
+def test_oracle_acc_preprocessed_to_zero(capsys):
+    code, rec = run_json(capsys, ["oracle", CHAIN5, "--acc", "c", "--preprocess", "on"])
+    assert code == 0
+    assert rec["answer"] == "0"
+
+
+def test_oracle_count_acc(capsys):
+    code, rec = run_json(capsys, ["oracle", CYCLE5, "--count-acc", "e"])
+    assert code == 0
+    assert rec["answer"] == 22
+
+
+def test_preprocess_record_with_set(capsys):
+    code, rec = run_json(capsys, ["preprocess", CHAIN5, "--set", "a"])
+    assert code == 0
+    assert rec["multiplier"] == "1/2"
+    assert rec["removed"] == ["d"]
+    code, rec = run_json(capsys, ["preprocess", CHAIN5, "--set", "b"])
+    assert code == 0
+    assert rec["zero"] is True
+
+
+# each TD breaks one rule of the nice form, against the instance "arg a 1";
+# a node's type line follows its bag line
+@pytest.mark.parametrize(
+    "td, violation",
+    [
+        ("bag 0 a|type 0 intro:a|bag 1|type 1 leaf|edge 0 1", "root bag is not empty"),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 intro:a|bag 2|type 2 leaf|bag 3|type 3 leaf"
+            "|edge 0 1|edge 1 2|edge 2 3",
+            "leaf node 2 has children",
+        ),
+        ("bag 0|type 0 forget:a|bag 1 a|type 1 leaf|edge 0 1", "leaf node 1 has a non-empty bag"),
+        ("bag 0|type 0 forget:a|bag 1 a|type 1 intro:a|edge 0 1", "introduce node 1 must have one child"),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 intro:a|bag 2 a|type 2 intro:a|bag 3|type 3 leaf"
+            "|edge 0 1|edge 1 2|edge 2 3",
+            "introduce node 1 does not add exactly 'a'",
+        ),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 intro:a|bag 2|type 2 forget:a|edge 0 1|edge 1 2",
+            "forget node 2 must have one child",
+        ),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 forget:a|bag 2 a|type 2 intro:a|bag 3|type 3 leaf"
+            "|edge 0 1|edge 1 2|edge 2 3",
+            "forget node 1 does not drop exactly 'a'",
+        ),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 join|bag 2 a|type 2 intro:a|bag 3|type 3 leaf"
+            "|edge 0 1|edge 1 2|edge 2 3",
+            "join node 1 must have two children",
+        ),
+        (
+            "bag 0|type 0 forget:a|bag 1 a|type 1 join|bag 2 a|type 2 intro:a|bag 3|type 3 leaf"
+            "|bag 4|type 4 leaf|edge 0 1|edge 1 2|edge 1 4|edge 2 3",
+            "join node 1 bags differ",
+        ),
+    ],
+    ids=[
+        "root-not-empty",
+        "leaf-with-children",
+        "leaf-with-bag",
+        "intro-child-count",
+        "intro-adds-wrong",
+        "forget-child-count",
+        "forget-drops-wrong",
+        "join-child-count",
+        "join-bags-differ",
+    ],
+)
+def test_validate_td_reports_each_nice_shape_violation(tmp_path, capsys, td, violation):
+    paf_file, td_file = tmp_path / "a.paf", tmp_path / "bad.td"
+    paf_file.write_text("arg a 1\n")
+    td_file.write_text(td.replace("|", "\n") + "\n")
+    code, rec = run_json(capsys, ["validate-td", str(paf_file), "--td-file", str(td_file)])
+    assert code == 3
+    assert rec["violations"] == [violation]

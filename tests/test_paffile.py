@@ -21,6 +21,17 @@ def test_cycle5_parses_and_round_trips():
     assert parse_paf(again).paf == doc.paf
 
 
+def test_readme_instance_format_example_parses():
+    readme = (FIXTURES.parent.parent / "README.md").read_text()
+    section = readme.split("## Instance format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    doc = parse_paf(block)
+    assert doc.paf.af.arguments == ("a", "b")
+    assert doc.paf.att_prob == {("a", "b"): Fraction(7, 10)}
+    assert doc.query_set == {"a", "b"}
+    assert doc.query_arg == "b"
+
+
 def test_empty_file():
     doc = parse_paf("")
     assert doc.paf.af.arguments == ()

@@ -124,7 +124,7 @@ def test_long_chain_solves_without_recursion_limit():
     names = [f"x{i:04d}" for i in range(1500)]
     paf = PAF.certain(AF(names, list(zip(names, names[1:]))))
     # the certain chain's only complete extension: the 1st, 3rd, 5th, ... argument
-    res = solve(paf, "com", set(names[::2]), heuristic="given-order", order=names)
+    res = solve(paf, "com", set(names[::2]), order=names)
     assert res.value == 1
 
 
@@ -140,7 +140,7 @@ def test_float_is_rounded_once_near_the_bottom_of_the_double_range():
     )
     S = set(names[::2])
     exact, value = (
-        solve(paf, "com", S, mode=mode, heuristic="given-order", order=names).value
+        solve(paf, "com", S, mode=mode, order=names).value
         for mode in ("rational", "float")
     )
     assert value == float(exact) == 1.5358359860221672e-300

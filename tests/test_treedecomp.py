@@ -49,12 +49,12 @@ def test_chain_has_width_one():
 
 def test_given_order_requires_permutation():
     af = chain_af(3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown heuristic"):
         elimination_order(af, "given-order")
     with pytest.raises(InputError):
-        elimination_order(af, "given-order", order=["x0", "x1"])
+        elimination_order(af, order=["x0", "x1"])
     order = ["x2", "x0", "x1"]
-    assert elimination_order(af, "given-order", order=order) == order
+    assert elimination_order(af, order=order) == order
     assert decompose(af, order=order).validate(af) == []
 
 
@@ -231,8 +231,21 @@ def test_parse_td_rejects_multiple_roots():
         ("bag 0\ntype 0 leaf:zz\n", "'leaf:zz'"),
         ("bag 0\ntype 0 join:a\n", "'join:a'"),
         ("bag 0\ntype 0 leaf\ntype 0 join\n", "line 3: duplicate type for node 0"),
+        ("bag 0 a\nbag 1\nedge 1 0 junk 5\n", "line 3: malformed TD line 'edge 1 0 junk 5'"),
+        (
+            "bag 0\nbag 1 a\nbag 2\nedge 1 0\nedge 2 1\n"
+            "type 0 leaf\ntype 1 intro:a junk\ntype 2 forget:a\n",
+            "line 7: malformed TD line 'type 1 intro:a junk'",
+        ),
     ],
-    ids=["undeclared-node", "leaf-with-argument", "join-with-argument", "repeated-type"],
+    ids=[
+        "undeclared-node",
+        "leaf-with-argument",
+        "join-with-argument",
+        "repeated-type",
+        "edge-trailing-tokens",
+        "type-trailing-tokens",
+    ],
 )
 def test_parse_td_rejects_malformed_type_lines(text, match):
     with pytest.raises(InputError, match=match):
@@ -242,3 +255,9 @@ def test_parse_td_rejects_malformed_type_lines(text, match):
 def test_introduce_type_without_argument_is_a_violation():
     td = parse_td("bag 0\nbag 1\nedge 0 1\ntype 0 intro\ntype 1 leaf\n")
     assert td.validate(AF([])) == ["introduce node 0 does not add exactly None"]
+
+
+def test_unknown_node_kind_is_a_violation():
+    # parse_td rejects an unknown type, so only the constructor can build one
+    td = NiceTreeDecomposition({0: frozenset()}, {0: ()}, 0, {0: "bogus"}, {0: None})
+    assert td.validate(AF([])) == ["node 0 has unknown kind 'bogus'"]
