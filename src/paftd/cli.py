@@ -301,6 +301,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "decompose" and args.order is not None and args.seed is not None:
+            parser.error("argument --seed: not allowed with argument --order")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -1,36 +1,37 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
-Tables are computed bottom-up.  A row is ``(present, atts, und, ow, uw, p)``:
-five int bitmasks and a mass.  ``present`` (the bag arguments in the
-scenario), ``und`` (those labeled undecided), ``ow`` and ``uw`` (those that
-have seen an in-labeled, resp. an undecided, attacker) hold one bit per
-argument in canonical order; ``atts`` (the present attacks) holds one bit per
-attack in sorted order.  The bits are global, so introducing or forgetting an
-argument never re-indexes a row.  No label is stored: a present member of S
-is in, any other present argument is undecided if it is in ``und`` and out
-otherwise.
+Tables are computed bottom-up.  A row is ``(present, und, ow, uw, p)``: four
+int bitmasks and a mass.  ``present`` (the bag arguments in the scenario),
+``und`` (those labeled undecided), ``ow`` and ``uw`` (those that have seen an
+in-labeled, resp. an undecided, attacker) hold one bit per argument in
+canonical order, so introducing or forgetting an argument never re-indexes a
+row.  No label is stored: a present member of S is in, any other present
+argument is undecided if it is in ``und`` and out otherwise.
 
-``p`` is the accumulated mass of all compatible completions below the node,
-over the elements already forgotten.  It is a plain int numerator: every row
-of a table shares one int denominator.  The answer is the sum of the root
-masses over the root denominator, ``Fraction(total, den)``: the one
-``Fraction`` a solve builds.  Float mode rounds it once, correctly, at any
-size, in ``SolveResult.value`` and in ``query_ext``.  Write each
-probability as ``n/d``.  When ``a`` is forgotten, its *charged* attacks are
-the uncertain attacks incident to ``a`` (self-attacks included) whose other
-endpoint is in the child bag.  A row's mass is multiplied by ``n_a`` if
-``a`` is present, else by ``d_a - n_a``, and for each charged attack by
-``n_r`` or ``d_r - n_r`` when both endpoints are present, else by ``d_r``;
-the table's denominator is the child's times ``d_a`` times each charged
-``d_r``.  Each uncertain attack is charged exactly once, at the forget of its
-first endpoint, while the other endpoint is still in the bag (the bags
-holding an argument are connected).  The children of a join have therefore
-forgotten disjoint element sets: a joined row's mass is the product of the
-two, and its denominator the product of theirs.  Per-element denominators
-rather than one common multiple keep the numbers small when many distinct
-primes occur.  The ``--trace`` dump decodes the masks and forgets the bag in
-sorted order under the same rule, so its ``p=`` values are the mass of every
-element introduced below the node.
+Each attack is decided and charged at the forget of its first endpoint,
+while the other endpoint is still in the bag (the bags holding an argument
+are connected), where an "introduce edge" node would sit (Cygan et al.,
+*Parameterized Algorithms*, Springer 2015, §7.3).  There an attack with an
+absent endpoint is absent, a certain one present, an uncertain one either;
+a present attack sets its target's witness bit, and a certain attack that
+makes a row conflicting removes the row.  An introduce only adds ``a``
+absent or present with its label; a join matches on ``(present, und)``.
+
+``p`` is the mass of all compatible completions below the node, over the
+elements already forgotten: an int numerator over its table's one int
+denominator.  The answer is ``Fraction(total, den)`` at the root, the one
+``Fraction`` a solve builds; float mode rounds it once, correctly, at any
+size.  Write each probability as ``n/d``.  Forgetting ``a`` multiplies a
+row's mass by ``n_a`` if ``a`` is present, else by ``d_a - n_a``, and for
+each uncertain attack it decides by ``n_r`` or ``d_r - n_r`` when both
+endpoints are present, else by ``d_r``; the table's denominator is the
+child's times ``d_a`` and each such ``d_r``.  The children of a join have
+therefore forgotten disjoint element sets: a joined row's mass is the
+product of the two, and its denominator the product of theirs.  Per-element
+denominators rather than one common multiple keep the numbers small when
+many distinct primes occur.  The ``--trace`` dump forgets the bag in sorted
+order under the same rule: a row becomes one line per decision of the
+attacks between bag members, its ``p=`` the mass of every element below.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -47,6 +48,7 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .core import PAF, exact_text
 from .errors import BudgetExceeded, InputError
@@ -140,9 +142,10 @@ def solve(
     """Run the DP: the probability that S is a sigma-extension of ``paf``.
 
     ``td`` may be plain or nice; it is validated against ``paf`` and made
-    nice if plain.  ``heuristic`` and ``order`` build the decomposition only
-    when ``td`` is None.  ``deadline`` (a ``time.monotonic()`` value) is
-    checked between nodes.
+    nice if plain.  ``heuristic`` and ``order`` build the decomposition when
+    ``td`` is None; an ``order`` or a non-default ``heuristic`` given with a
+    ``td`` is an ``InputError``.  ``deadline`` (a ``time.monotonic()`` value)
+    is checked between nodes.
     """
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
@@ -152,6 +155,8 @@ def solve(
     if td is None:
         td = make_nice(decompose(paf.af, heuristic=heuristic, order=order))
     else:
+        if order is not None or heuristic != "min-fill":
+            raise InputError("a given tree-decomposition takes no heuristic or order")
         violations = td.validate(paf.af)
         if violations:
             raise InputError("invalid tree-decomposition: " + "; ".join(violations))
@@ -168,16 +173,16 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
         if kind == LEAF:
-            rows, den, uncertain = [(0, 0, 0, 0, 0, 1)], 1, 0
+            rows, den, uncertain = [(0, 0, 0, 0, 1)], 1, 0
         elif kind == INTRO:
             rows, den, uncertain = tables.pop(kids[0])
             rows = _introduce(rows, a, ctx)
-            uncertain += len(ctx.charged(a, ctx.mask(bag))[0])
+            uncertain += ctx.decided(a, ctx.mask(bag))[1]
         elif kind == FORGET:
             rows, den, uncertain = tables.pop(kids[0])
-            charged, charged_den = ctx.charged(a, ctx.mask(bag) | ctx.bit[a])
-            rows, den = _forget(rows, a, charged, ctx), den * charged_den
-            uncertain -= len(charged)
+            decided, charged, decided_den = ctx.decided(a, ctx.mask(bag) | ctx.bit[a])
+            rows, den = _forget(rows, a, decided, ctx), den * decided_den
+            uncertain -= charged
         else:
             left, left_den, uncertain = tables.pop(kids[0])
             right, right_den, _ = tables.pop(kids[1])
@@ -189,7 +194,7 @@ def solve(
 
     rows, den, _ = tables[td.root]
     return SolveResult(
-        Fraction(sum(row[5] for row in rows), den),
+        Fraction(sum(row[-1] for row in rows), den),
         sigma,
         mode,
         td.width(),
@@ -200,55 +205,65 @@ def solve(
 
 
 def _weights(p: Fraction):
-    """The weights of ``p = n/d``: present, absent, and charged without both
-    endpoints present."""
+    """The weights of ``p = n/d``: present, absent, and left undecided."""
     return p.numerator, p.denominator - p.numerator, p.denominator
 
 
 class _Context:
     """Per-solve constants: the int weights ``(n, d - n, d)`` of each
     probability ``n/d``, one bit per argument (canonical order) and one per
-    attack (sorted order)."""
+    attack (sorted order).  A certain element's weights are ``(1, 0, 1)``."""
 
     def __init__(self, paf: PAF, S, sigma):
         self.sigma = sigma
         self.bit = {a: 1 << i for i, a in enumerate(paf.af.arguments)}
         self.s_mask = self.mask(S)
         self.warg = {a: _weights(p) for a, p in paf.arg_prob.items()}
-        self.arg_certain = {a: paf.arg_certain(a) for a in paf.af.arguments}
         self.attacks = sorted(paf.af.attacks)
         # per argument, its attacks in sorted order as (attack bit, endpoint
-        # mask, source bit, target bit, weights or None when certain)
+        # mask, source bit, target bit, weights)
         self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
         for i, (x, y) in enumerate(self.attacks):
-            w = None if paf.att_certain((x, y)) else _weights(paf.att_prob[x, y])
-            entry = (1 << i, self.bit[x] | self.bit[y], self.bit[x], self.bit[y], w)
+            bx, by = self.bit[x], self.bit[y]
+            entry = (1 << i, bx | by, bx, by, _weights(paf.att_prob[x, y]))
             for a in {x, y}:
                 self.incident[a].append(entry)
-        self.incident_mask = {a: sum(r[0] for r in rs) for a, rs in self.incident.items()}
 
     def mask(self, args) -> int:
         return sum(self.bit[a] for a in args)
 
-    def charged(self, a: str, bag_mask: int):
-        """The uncertain attacks charged where ``a`` leaves a bag, those
-        between ``a`` and a member of ``bag_mask`` (which holds ``a``), and
-        the denominator that forget multiplies into the table's."""
-        charged = [r for r in self.incident[a] if r[4] is not None and not r[1] & ~bag_mask]
-        den = self.warg[a][2]
-        for r in charged:
-            den = den * r[4][2]
-        return charged, den
+    def decided(self, a: str, bag_mask: int):
+        """The attacks decided where ``a`` leaves a bag, those between ``a``
+        and ``bag_mask`` (which holds ``a``), how many are uncertain, and the
+        denominator that forget multiplies into the table's."""
+        decided = [r for r in self.incident[a] if not r[1] & ~bag_mask]
+        den = prod((r[4][2] for r in decided), start=self.warg[a][2])
+        return decided, sum(1 for r in decided if r[4][1]), den
 
-    def factor(self, a: str, present: int, atts: int, charged):
-        """Numerator of ``a``'s factor in a row's structure: its presence or
-        absence, and each charged attack's presence or absence if both its
-        endpoints are present, else that attack's denominator."""
+    def choices(self, a: str, present: int, und: int, decided):
+        """The conflict-free decisions of the ``decided`` attacks in a row's
+        structure, as ``(attacks, ow, uw, factor)``: the present attacks, the
+        witness bits they set, and the numerator of ``a``'s presence or
+        absence times each attack's, or its denominator when an endpoint is
+        absent.  An attack's absent choice comes first."""
         w_present, w_absent, _ = self.warg[a]
-        factor = w_present if present & self.bit[a] else w_absent
-        for r_bit, ends, _, _, (w_present, w_absent, d) in charged:
-            factor = factor * (d if ends & ~present else w_present if atts & r_bit else w_absent)
-        return factor
+        ins = present & self.s_mask
+        live = ins | und  # the arguments not labeled out
+        out = [(0, 0, 0, w_present if present & self.bit[a] else w_absent)]
+        for r_bit, ends, x, y, (w_present, w_absent, d) in decided:
+            if ends & ~present:
+                out = [(atts, ow, uw, f * d) for atts, ow, uw, f in out]
+                continue
+            absent = [(atts, ow, uw, f * w_absent) for atts, ow, uw, f in out if w_absent]
+            # conflict discipline: every neighbor of an in-label is out
+            if ends & ins and not ends & ~live:
+                out = absent
+                continue
+            ow_bit, uw_bit = y if x & ins else 0, y if x & und else 0
+            out = absent + [
+                (atts | r_bit, ow | ow_bit, uw | uw_bit, f * w_present) for atts, ow, uw, f in out
+            ]
+        return out
 
 
 def _introduce(rows, a, ctx: _Context):
@@ -256,74 +271,49 @@ def _introduce(rows, a, ctx: _Context):
     bit = ctx.bit[a]
     in_s = ctx.s_mask & bit
     # every other bag member of S is present already: only ``a`` can be an
-    # absent member of S, and that row is not emitted
-    keep_absent = not (ctx.arg_certain[a] or in_s)
+    # absent member of S, and that row is not emitted; nor is a certain ``a``
+    keep_absent = ctx.warg[a][1] and not in_s
     und_choices = (0,) if in_s or ctx.sigma == "stb" else (0, bit)
     for row in rows:
-        present, atts, und, ow, uw, p = row
+        present, und, ow, uw, p = row
         if keep_absent:
             out.append(row)
-        present |= bit
-        ins = present & ctx.s_mask
-        incident = [r for r in ctx.incident[a] if not r[1] & ~present]
-        forced = [r for r in incident if r[4] is None]
-        optional = [r for r in incident if r[4] is not None]
-
-        for rmask in range(1 << len(optional)):
-            chosen = forced + [r for i, r in enumerate(optional) if rmask >> i & 1]
-            new_atts = atts
-            for r in chosen:
-                new_atts |= r[0]
-            for und_a in und_choices:
-                new_und = und | und_a
-                live = ins | new_und  # the arguments not labeled out
-                # conflict discipline: every neighbor of an in-label is out
-                if any(ends & ins and not ends & ~live for _, ends, _, _, _ in chosen):
-                    continue
-                new_ow, new_uw = ow, uw
-                for _, _, x, y, _ in chosen:
-                    if x & ins:
-                        new_ow |= y
-                    elif x & new_und:
-                        new_uw |= y
-                out.append((present, new_atts, new_und, new_ow, new_uw, p))
+        for und_a in und_choices:
+            out.append((present | bit, und | und_a, ow, uw, p))
     return out
 
 
-def _forget(rows, a, charged, ctx: _Context):
+def _forget(rows, a, decided, ctx: _Context):
     merged: dict[tuple, object] = {}
-    factors: dict[tuple, object] = {}
+    options: dict[tuple, list] = {}
     bit = ctx.bit[a]
-    keep, keep_atts = ~bit, ~ctx.incident_mask[a]
+    keep = ~bit
     needs_witness = not ctx.s_mask & bit  # an in-label needs none
     com = ctx.sigma == "com"
-    for present, atts, und, ow, uw, p in rows:
-        if needs_witness and present & bit:
-            if und & bit:
-                if com and not uw & bit:
+    for present, und, ow, uw, p in rows:
+        if (present, und) not in options:
+            options[present, und] = ctx.choices(a, present, und, decided)
+        for _, ow_bits, uw_bits, factor in options[present, und]:
+            new_ow, new_uw = ow | ow_bits, uw | uw_bits
+            if needs_witness and present & bit:
+                if und & bit:
+                    if com and not new_uw & bit:
+                        continue
+                elif not new_ow & bit:
                     continue
-            elif not ow & bit:
-                continue
-        factor = factors.get((present, atts))
-        if factor is None:
-            factor = factors[present, atts] = ctx.factor(a, present, atts, charged)
-        p = p * factor
-        key = (present & keep, atts & keep_atts, und & keep, ow & keep, uw & keep)
-        if key in merged:
-            merged[key] = merged[key] + p
-        else:
-            merged[key] = p
+            key = (present & keep, und & keep, new_ow & keep, new_uw & keep)
+            merged[key] = merged.get(key, 0) + p * factor
     return [key + (p,) for key, p in merged.items()]
 
 
 def _join(left, right):
     by_structure: dict[tuple, list] = {}
     for row in right:
-        by_structure.setdefault(row[:3], []).append(row)
+        by_structure.setdefault(row[:2], []).append(row)
     out = []
-    for present, atts, und, ow1, uw1, p1 in left:
-        for _, _, _, ow2, uw2, p2 in by_structure.get((present, atts, und), ()):
-            out.append((present, atts, und, ow1 | ow2, uw1 | uw2, p1 * p2))
+    for present, und, ow1, uw1, p1 in left:
+        for _, _, ow2, uw2, p2 in by_structure.get((present, und), ()):
+            out.append((present, und, ow1 | ow2, uw1 | uw2, p1 * p2))
     return out
 
 
@@ -337,28 +327,34 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
     def names(mask):
         return [x for x in order if mask & ctx.bit[x]]
 
-    # render the mass of the whole subtree: forget the bag in sorted order
+    # render the mass of the whole subtree: forget the bag in sorted order,
+    # deciding its attacks as the forgets above the node would
     steps, bag_mask = [], ctx.mask(bag)
     for a in order:
-        charged, charged_den = ctx.charged(a, bag_mask)
-        steps.append((a, ctx.bit[a], charged))
-        den = den * charged_den
+        decided, _, decided_den = ctx.decided(a, bag_mask)
+        steps.append((a, decided))
+        den = den * decided_den
         bag_mask &= ~ctx.bit[a]
 
     decoded = []
-    for present, atts, und, ow, uw, p in rows:
+    for present, und, ow, uw, p in rows:
+        expanded = [(0, ow, uw, p)]
+        for a, decided in steps:
+            options = ctx.choices(a, present, und, decided)
+            expanded = [
+                (atts | more, ow | ow_bits, uw | uw_bits, p * factor)
+                for atts, ow, uw, p in expanded
+                for more, ow_bits, uw_bits, factor in options
+            ]
         args = names(present)
-        # bit i of ``atts`` is the i-th attack in sorted order
-        att_list = [ctx.attacks[i] for i, c in enumerate(reversed(bin(atts))) if c == "1"]
         labels = [IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT for x in args]
-        # the labels sort as (argument, label) pairs: out before undecided
-        key = (args, att_list, tuple(zip(args, labels)), names(ow), names(uw))
-        decoded.append((key, present, atts, p))
+        for atts, ow, uw, p in expanded:
+            # bit i of ``atts`` is the i-th attack in sorted order
+            att_list = [ctx.attacks[i] for i, c in enumerate(reversed(bin(atts))) if c == "1"]
+            # the labels sort as (argument, label) pairs: out before undecided
+            decoded.append(((args, att_list, tuple(zip(args, labels)), names(ow), names(uw)), p))
     lines = []
-    for (args, att_list, lab, ow, uw), present, atts, p in sorted(decoded, key=lambda d: d[0]):
-        for a, bit, charged in steps:
-            p = p * ctx.factor(a, present, atts, charged)
-            present &= ~bit
+    for (args, att_list, lab, ow, uw), p in sorted(decoded, key=lambda d: d[0]):
         ins, outs, unds = (",".join(x for x, l in lab if l == want) for want in (IN, OUT, UND))
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(

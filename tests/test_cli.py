@@ -232,8 +232,16 @@ def test_solve_order_fixes_the_decomposition(capsys):
         ["solve", CYCLE5, "--td-file", CYCLE5_TD, "--heuristic", "min-degree"],
         ["solve", CYCLE5, "--td-file", CYCLE5_TD, "--order", "a,b,c,d,e"],
         ["decompose", CYCLE5, "--heuristic", "min-degree", "--order", "a,b,c,d,e"],
+        # a seed randomizes heuristic tie-breaks, and a fixed order has none
+        ["decompose", CHAIN5, "--order", "a,b,c,d,e", "--seed", "3"],
     ],
-    ids=["given-order", "td-file-and-heuristic", "td-file-and-order", "decompose-heuristic-and-order"],
+    ids=[
+        "given-order",
+        "td-file-and-heuristic",
+        "td-file-and-order",
+        "decompose-heuristic-and-order",
+        "decompose-order-and-seed",
+    ],
 )
 def test_decomposition_choices_exclude_each_other(argv, capsys):
     assert run(argv) == 2

@@ -16,6 +16,7 @@ from paftd import (
     InputError,
     decompose,
     generate_grid,
+    grid_elimination_order,
     make_nice,
     p_ext,
     p_ext_oracle,
@@ -177,7 +178,7 @@ def test_rational_rows_carry_int_numerators(cycle5, monkeypatch):
         def wrapper(rows, *rest):
             out = step(rows, *rest)
             steps.append(step.__name__)
-            assert all(type(row[5]) is int for row in rows + out)
+            assert all(type(row[-1]) is int for row in rows + out)
             return out
 
         return wrapper
@@ -216,6 +217,72 @@ def test_golden_trace_rows(cycle5):
     assert (
         "node=12 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=63/125" in trace
     )
+
+
+CYCLE5_TRACE = (
+    "node=0 F=(;) L=(;;) lw=(;) p=1",
+    "node=1 F=(a;) L=(a;;) lw=(;) p=4/5",
+    "node=2 F=(a,b;a>b,b>a) L=(a;b;) lw=(b;) p=14/25",
+    "node=2 F=(a,b;b>a) L=(a;b;) lw=(;) p=6/25",
+    "node=3 F=(a,b,c;a>b,b>a,b>c,c>b) L=(a,c;b;) lw=(b;) p=63/125",
+    "node=3 F=(a,b,c;b>a,b>c,c>b) L=(a,c;b;) lw=(b;) p=27/125",
+    "node=4 F=(a,c;) L=(a,c;;) lw=(;) p=18/25",
+    "node=5 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=18/25",
+    "node=6 F=(;) L=(;;) lw=(;) p=1",
+    "node=7 F=(d;) L=(;d;) lw=(;) p=1",
+    "node=7 F=(d;) L=(;;d) lw=(;) p=1",
+    "node=8 F=(d,e;) L=(e;d;) lw=(;) p=7/20",
+    "node=8 F=(d,e;) L=(e;;d) lw=(;) p=7/20",
+    "node=8 F=(d,e;d>e) L=(e;d;) lw=(;) p=7/20",
+    "node=8 F=(d,e;d>e,e>d) L=(e;d;) lw=(d;) p=3/20",
+    "node=8 F=(d,e;e>d) L=(e;d;) lw=(d;) p=3/20",
+    "node=9 F=(d;) L=(;d;) lw=(;) p=7/10",
+    "node=9 F=(d;) L=(;d;) lw=(d;) p=3/10",
+    "node=9 F=(d;) L=(;;d) lw=(;) p=7/20",
+    "node=10 F=(a,d;a>d,d>a) L=(a;d;) lw=(d;) p=14/25",
+    "node=10 F=(a,d;a>d,d>a) L=(a;d;) lw=(d;) p=6/25",
+    "node=11 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=63/125",
+    "node=11 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=27/125",
+    "node=12 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=63/125",
+    "node=12 F=(a,c,d;a>d,c>d,d>a,d>c) L=(a,c;d;) lw=(d;) p=27/125",
+    "node=13 F=(c,d;c>d,d>c) L=(c;d;) lw=(d;) p=18/25",
+    "node=14 F=(d;) L=(;d;) lw=(d;) p=18/25",
+    "node=15 F=(;) L=(;;) lw=(;) p=18/25",
+)
+
+
+def test_full_trace_rows_in_order(cycle5):
+    # every line of the fixture replay, in the order the dump emits them
+    td = parse_td((FIXTURES / "cycle5.td").read_text())
+    value, trace = solve_with_trace(cycle5, "com", {"a", "c", "e"}, td=td)
+    assert value == Fraction(18, 25)
+    assert trace == list(CYCLE5_TRACE)
+
+
+def test_introduce_at_most_triples_its_child(cycle5):
+    # an introduce adds the absent row and one present row per label choice:
+    # the attacks of the new argument are decided at a forget
+    spec = GridSpec(4, 30, 2)
+    grid, query = generate_grid(spec)
+    cases = [
+        (cycle5, {"a", "c", "e"}, parse_td((FIXTURES / "cycle5.td").read_text())),
+        (grid, query, make_nice(decompose(grid.af, order=grid_elimination_order(spec)))),
+    ]
+    for paf, S, td in cases:
+        stats = solve(paf, "com", S, td=td).node_stats
+        for t, node in stats.items():
+            if node.kind == "intro":
+                assert node.rows <= 3 * stats[td.children[t][0]].rows, t
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"order": ["zz"], "heuristic": "nope"}, {"order": list("abcde")}, {"heuristic": "min-degree"}],
+    ids=["unknown", "order", "heuristic"],
+)
+def test_given_td_takes_no_heuristic_or_order(cycle5, extra):
+    with pytest.raises(InputError):
+        solve(cycle5, "com", {"a", "c", "e"}, td=decompose(cycle5.af), **extra)
 
 
 def test_root_table_is_bag_local_empty(cycle5):
