@@ -29,7 +29,7 @@ from .preprocess import (
     simplify_for_acc,
     simplify_for_ext,
 )
-from .solver import SolveResult, p_ext, solve, solve_with_trace
+from .solver import SolveResult, p_ext, solve
 from .treedecomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -76,7 +76,6 @@ __all__ = [
     "SolveResult",
     "p_ext",
     "solve",
-    "solve_with_trace",
     "NiceTreeDecomposition",
     "TreeDecomposition",
     "decompose",

@@ -109,9 +109,7 @@ def _cmd_solve(args) -> int:
         )
         return solved[0].exact
 
-    value, status = preprocess.query_ext(
-        paf, sigma, S, engine, mode=args.mode, enabled=args.preprocess == "on", td=td
-    )
+    value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on", td=td)
     result = solved[0] if solved else None
     record = {
         **_answer_fields(value, args.mode),

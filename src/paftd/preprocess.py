@@ -98,25 +98,21 @@ def simplify_for_acc(paf: PAF, a: str) -> bool:
     return a in forced_labeling(paf).forced_out
 
 
-def query_ext(paf: PAF, sigma: str, S, engine, mode: str = "rational", enabled: bool = True, td=None):
-    """Answer a P-Ext query, simplifying it first where that is sound.
+def query_ext(paf: PAF, sigma: str, S, engine, enabled: bool = True, td=None):
+    """Answer a P-Ext query exactly, simplifying it first where that is sound.
 
     ``engine(instance)`` returns the exact probability that S is a
     sigma-extension of ``instance``.  Preprocessing runs only when
     ``enabled``, for the complete semantics, and when no ``td`` is given (a
     TD describes the unreduced graph).  A zero outcome is answered without
     the engine; otherwise the engine's value is scaled by the reduction's
-    multiplier.  The answer is exact, or in float ``mode`` the exact answer
-    rounded once.
+    multiplier.  Rounding the exact answer is the caller's.
 
     Returns ``(value, status)`` with status ``"off"``, ``"on"`` or ``"zero"``.
     """
     if not enabled or sigma != "com" or td is not None:
-        value, status = engine(paf), "off"
-    else:
-        reduction = simplify_for_ext(paf, S)
-        if reduction.zero:
-            value, status = Fraction(0), "zero"
-        else:
-            value, status = engine(reduction.paf) * reduction.multiplier, "on"
-    return (float(value) if mode == "float" else value), status
+        return engine(paf), "off"
+    reduction = simplify_for_ext(paf, S)
+    if reduction.zero:
+        return Fraction(0), "zero"
+    return engine(reduction.paf) * reduction.multiplier, "on"

@@ -83,7 +83,6 @@ class NodeStats:
 @dataclass
 class SolveResult:
     exact: Fraction
-    semantics: str
     mode: str
     width: int
     node_count: int
@@ -100,7 +99,8 @@ class SolveResult:
 
 
 def _converter(mode: str):
-    """The map from a mass and its denominator to a ``--trace`` value of the mode."""
+    """The map from a mass and its denominator to a value of the mode: the
+    rounding of ``p_ext``'s answer and of each ``--trace`` mass."""
     if mode == "float":
         return operator.truediv
     if mode == "rational":
@@ -109,23 +109,19 @@ def _converter(mode: str):
 
 
 def p_ext(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
-    """Probability that S is a sigma-extension.
+    """Probability that S is a sigma-extension: exact, or in float ``mode``
+    the exact answer rounded once.
 
     Applies the forced-label preprocessing of ``paftd solve`` (complete
     semantics, no ``td`` given) before the DP; :func:`solve` is the raw DP.
     """
-    _converter(mode)  # reject an unknown mode even when preprocessing alone answers
+    answer = _converter(mode)  # rejects an unknown mode even when preprocessing alone answers
 
     def engine(instance):
         return solve(instance, sigma, S, mode=mode, td=td).exact
 
-    return query_ext(paf, sigma, S, engine, mode=mode, td=td)[0]
-
-
-def solve_with_trace(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
-    """Like :func:`solve` but returns the value and the per-node table dump."""
-    result = solve(paf, sigma, S, mode=mode, td=td, trace=True)
-    return result.value, result.trace
+    value = query_ext(paf, sigma, S, engine, td=td)[0]
+    return answer(value.numerator, value.denominator)
 
 
 def solve(
@@ -135,17 +131,18 @@ def solve(
     mode: str = "rational",
     td: TreeDecomposition | None = None,
     heuristic: str = "min-fill",
-    order=None,
     trace: bool = False,
     deadline: float | None = None,
 ) -> SolveResult:
     """Run the DP: the probability that S is a sigma-extension of ``paf``.
 
     ``td`` may be plain or nice; it is validated against ``paf`` and made
-    nice if plain.  ``heuristic`` and ``order`` build the decomposition when
-    ``td`` is None; an ``order`` or a non-default ``heuristic`` given with a
-    ``td`` is an ``InputError``.  ``deadline`` (a ``time.monotonic()`` value)
-    is checked between nodes.
+    nice if plain.  A fixed elimination order is passed as
+    ``td=decompose(paf.af, order=...)``.  ``heuristic`` builds the
+    decomposition when ``td`` is None; a non-default ``heuristic`` given with
+    a ``td`` is an ``InputError``.  With ``trace`` the result's ``trace``
+    holds the per-node table dump.  ``deadline`` (a ``time.monotonic()``
+    value) is checked between nodes.
     """
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
@@ -153,10 +150,10 @@ def solve(
     answer = _converter(mode)
 
     if td is None:
-        td = make_nice(decompose(paf.af, heuristic=heuristic, order=order))
+        td = make_nice(decompose(paf.af, heuristic=heuristic))
     else:
-        if order is not None or heuristic != "min-fill":
-            raise InputError("a given tree-decomposition takes no heuristic or order")
+        if heuristic != "min-fill":
+            raise InputError("a given tree-decomposition takes no heuristic")
         violations = td.validate(paf.af)
         if violations:
             raise InputError("invalid tree-decomposition: " + "; ".join(violations))
@@ -195,7 +192,6 @@ def solve(
     rows, den, _ = tables[td.root]
     return SolveResult(
         Fraction(sum(row[-1] for row in rows), den),
-        sigma,
         mode,
         td.width(),
         td.node_count(),
@@ -335,6 +331,8 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
         steps.append((a, decided))
         den = den * decided_den
         bag_mask &= ~ctx.bit[a]
+    # the attacks between bag members, in sorted order, as (attack bit, attack)
+    bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
     decoded = []
     for present, und, ow, uw, p in rows:
@@ -349,8 +347,7 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
         args = names(present)
         labels = [IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT for x in args]
         for atts, ow, uw, p in expanded:
-            # bit i of ``atts`` is the i-th attack in sorted order
-            att_list = [ctx.attacks[i] for i, c in enumerate(reversed(bin(atts))) if c == "1"]
+            att_list = [att for r_bit, att in bag_attacks if atts & r_bit]
             # the labels sort as (argument, label) pairs: out before undecided
             decoded.append(((args, att_list, tuple(zip(args, labels)), names(ow), names(uw)), p))
     lines = []

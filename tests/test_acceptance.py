@@ -17,6 +17,7 @@ from paftd import (
     GridSpec,
     Subframework,
     count_ext,
+    decompose,
     enumerate_subframeworks,
     forced_labeling,
     generate_grid,
@@ -28,7 +29,6 @@ from paftd import (
     parse_td,
     simplify_for_ext,
     solve,
-    solve_with_trace,
 )
 from paftd.generator import draw_probability
 
@@ -95,7 +95,8 @@ def test_criterion_2_golden_answers(cycle5):
 
 def test_criterion_3_trace_replay(cycle5):
     td = parse_td((FIXTURES / "cycle5.td").read_text())
-    value, trace = solve_with_trace(cycle5.paf, "com", {"a", "c", "e"}, td=td)
+    res = solve(cycle5.paf, "com", {"a", "c", "e"}, td=td, trace=True)
+    value, trace = res.value, res.trace
     wanted = (
         "node=1 F=(a;) L=(a;;) lw=(;) p=4/5",
         "node=13 F=(c,d;c>d,d>c) L=(c;d;) lw=(d;) p=18/25",
@@ -145,7 +146,7 @@ def test_criterion_5_decomposition_invariance():
         names = list(paf.af.arguments)
         for _ in range(5):
             rnd.shuffle(names)
-            results.add(solve(paf, "com", S, order=list(names)).value)
+            results.add(solve(paf, "com", S, td=decompose(paf.af, order=list(names))).value)
         if len(results) != 1:
             ok = False
             break
@@ -206,7 +207,7 @@ def test_criterion_8_scaling():
         spec = GridSpec(3, n, 12345)
         paf, query = generate_grid(spec)
         t0 = time.monotonic()
-        res = solve(paf, "com", query, order=grid_elimination_order(spec))
+        res = solve(paf, "com", query, td=decompose(paf.af, order=grid_elimination_order(spec)))
         dt = time.monotonic() - t0
         if n == 50:
             elapsed = dt

@@ -92,15 +92,22 @@ def chain_ext_probability(names, arg_prob, att_prob, S) -> Fraction:
     return sum(weights.values())
 
 
-def test_huge_exact_answer_is_printed(tmp_path, capsys):
-    # the exact answer has more digits than Python converts int <-> str by default
-    names = [f"c{i:04d}" for i in range(5000)]
+def write_chain(tmp_path, n):
+    """The n-chain with probabilities (i%9+1)/10 and (i%7+2)/10 and every
+    other argument in the file's query set, as a .paf file."""
+    names = [f"c{i:04d}" for i in range(n)]
     attacks = list(zip(names, names[1:]))
     arg_prob = {a: Fraction(i % 9 + 1, 10) for i, a in enumerate(names)}
     att_prob = {r: Fraction(i % 7 + 2, 10) for i, r in enumerate(attacks)}
     S = frozenset(names[::2])
     path = tmp_path / "chain.paf"
     path.write_text(serialize_paf(PAF(AF(names, attacks), arg_prob, att_prob), query_set=S))
+    return path, names, arg_prob, att_prob, S
+
+
+def test_huge_exact_answer_is_printed(tmp_path, capsys):
+    # the exact answer has more digits than Python converts int <-> str by default
+    path, names, arg_prob, att_prob, S = write_chain(tmp_path, 5000)
     argv = ["solve", str(path), "--order", ",".join(names)]
     code, rec = run_json(capsys, argv)
     assert code == 0
@@ -109,6 +116,19 @@ def test_huge_exact_answer_is_printed(tmp_path, capsys):
     # compared as text: Fraction(rec["answer"]) would meet the same limit
     assert rec["answer"] == f"{Decimal(want.numerator)}/{Decimal(want.denominator)}"
     assert rec["answerDecimal"].endswith("E-1304")
+
+
+def test_float_answer_below_the_smallest_double_is_zero(tmp_path, capsys):
+    # the exact answer is about 5.5E-340, below the smallest subnormal double
+    # (4.9E-324), so the correctly rounded float answer is 0.0
+    path, names, *_ = write_chain(tmp_path, 1300)
+    argv = ["solve", str(path), "--order", ",".join(names)]
+    code, rec = run_json(capsys, argv + ["--mode", "float"])
+    assert code == 0
+    assert rec["answer"] == "0.0"
+    code, rec = run_json(capsys, argv)
+    assert code == 0
+    assert rec["answerDecimal"].startswith("5.503")
 
 
 def test_oracle_acc(capsys):
@@ -214,6 +234,11 @@ def test_capacity_errors_exit_4(tmp_path, capsys):
     big.write_text("\n".join(lines) + "\n")
     assert run(["oracle", str(big), "--ext", "x0"]) == 4
     capsys.readouterr()
+
+
+def test_solve_timeout_exits_4(capsys):
+    assert run(["solve", CYCLE5, "--set", "a,c,e", "--timeout", "1e-9"]) == 4
+    assert capsys.readouterr().err == "error: solver ran out of time\n"
 
 
 def test_solve_order_fixes_the_decomposition(capsys):

@@ -23,7 +23,6 @@ from paftd import (
     parse_paf,
     parse_td,
     solve,
-    solve_with_trace,
 )
 from paftd import solver
 
@@ -37,6 +36,13 @@ def cycle5():
 
 def test_cycle5_complete(cycle5):
     assert p_ext(cycle5, "com", {"a", "c", "e"}) == Fraction(18, 25)
+
+
+def test_readme_library_example_runs():
+    readme = (FIXTURES.parent.parent / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
 
 
 def test_cycle5_all_semantics_match_oracle(cycle5):
@@ -125,7 +131,7 @@ def test_long_chain_solves_without_recursion_limit():
     names = [f"x{i:04d}" for i in range(1500)]
     paf = PAF.certain(AF(names, list(zip(names, names[1:]))))
     # the certain chain's only complete extension: the 1st, 3rd, 5th, ... argument
-    res = solve(paf, "com", set(names[::2]), order=names)
+    res = solve(paf, "com", set(names[::2]), td=decompose(paf.af, order=names))
     assert res.value == 1
 
 
@@ -141,7 +147,7 @@ def test_float_is_rounded_once_near_the_bottom_of_the_double_range():
     )
     S = set(names[::2])
     exact, value = (
-        solve(paf, "com", S, mode=mode, order=names).value
+        solve(paf, "com", S, mode=mode, td=decompose(paf.af, order=names)).value
         for mode in ("rational", "float")
     )
     assert value == float(exact) == 1.5358359860221672e-300
@@ -208,7 +214,8 @@ def test_supplied_td_is_validated(cycle5):
 
 def test_golden_trace_rows(cycle5):
     td = parse_td((FIXTURES / "cycle5.td").read_text())
-    value, trace = solve_with_trace(cycle5, "com", {"a", "c", "e"}, td=td)
+    res = solve(cycle5, "com", {"a", "c", "e"}, td=td, trace=True)
+    value, trace = res.value, res.trace
     assert value == Fraction(18, 25)
     assert "node=1 F=(a;) L=(a;;) lw=(;) p=4/5" in trace
     assert (
@@ -254,9 +261,9 @@ CYCLE5_TRACE = (
 def test_full_trace_rows_in_order(cycle5):
     # every line of the fixture replay, in the order the dump emits them
     td = parse_td((FIXTURES / "cycle5.td").read_text())
-    value, trace = solve_with_trace(cycle5, "com", {"a", "c", "e"}, td=td)
-    assert value == Fraction(18, 25)
-    assert trace == list(CYCLE5_TRACE)
+    res = solve(cycle5, "com", {"a", "c", "e"}, td=td, trace=True)
+    assert res.value == Fraction(18, 25)
+    assert res.trace == list(CYCLE5_TRACE)
 
 
 def test_introduce_at_most_triples_its_child(cycle5):
@@ -277,11 +284,11 @@ def test_introduce_at_most_triples_its_child(cycle5):
 
 @pytest.mark.parametrize(
     "extra",
-    [{"order": ["zz"], "heuristic": "nope"}, {"order": list("abcde")}, {"heuristic": "min-degree"}],
-    ids=["unknown", "order", "heuristic"],
+    [{"heuristic": "nope"}, {"heuristic": "min-degree"}],
+    ids=["unknown", "heuristic"],
 )
 def test_given_td_takes_no_heuristic_or_order(cycle5, extra):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="a given tree-decomposition takes no heuristic"):
         solve(cycle5, "com", {"a", "c", "e"}, td=decompose(cycle5.af), **extra)
 
 
