@@ -29,30 +29,30 @@ class ForcedLabeling:
 
 
 def forced_labeling(paf: PAF) -> ForcedLabeling:
-    """Least fixed point of the forced-label operator.
-
-    Note the in-rule quantifies over all attacks regardless of certainty:
-    an attacker that is merely *possibly* present blocks the in-label unless
-    it is itself forced out in every scenario.
-    """
+    """Least fixed point of the forced-label operator, worked from a list
+    that starts with every argument: a newly labeled argument pushes its
+    targets, the only arguments whose rules read its label.  The in-rule
+    quantifies over all attacks regardless of certainty: an attacker that is
+    merely *possibly* present blocks the in-label unless it is itself forced
+    out in every scenario."""
     af = paf.af
     fin: set[str] = set()
     fout: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for a in af.arguments:
-            if a in fin or a in fout:
-                continue
-            if all(b in fout for b in af.attackers(a)):
-                fin.add(a)
-                changed = True
-            elif any(
-                b in fin and paf.arg_certain(b) and paf.att_certain((b, a))
-                for b in af.attackers(a)
-            ):
-                fout.add(a)
-                changed = True
+    work = list(af.arguments)
+    while work:
+        a = work.pop()
+        if a in fin or a in fout:
+            continue
+        if all(b in fout for b in af.attackers(a)):
+            fin.add(a)
+        elif any(
+            b in fin and paf.arg_certain(b) and paf.att_certain((b, a))
+            for b in af.attackers(a)
+        ):
+            fout.add(a)
+        else:
+            continue
+        work.extend(af.targets(a))
     return ForcedLabeling(frozenset(fin), frozenset(fout))
 
 

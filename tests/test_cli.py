@@ -108,14 +108,18 @@ def write_chain(tmp_path, n):
 def test_huge_exact_answer_is_printed(tmp_path, capsys):
     # the exact answer has more digits than Python converts int <-> str by default
     path, names, arg_prob, att_prob, S = write_chain(tmp_path, 5000)
-    argv = ["solve", str(path), "--order", ",".join(names)]
-    code, rec = run_json(capsys, argv)
-    assert code == 0
     want = chain_ext_probability(names, arg_prob, att_prob, S)
     assert want.denominator.bit_length() > 16000
-    # compared as text: Fraction(rec["answer"]) would meet the same limit
-    assert rec["answer"] == f"{Decimal(want.numerator)}/{Decimal(want.denominator)}"
-    assert rec["answerDecimal"].endswith("E-1304")
+    # a fixed order, and the default command: min-fill with preprocessing
+    for argv in (["solve", str(path), "--order", ",".join(names)], ["solve", str(path)]):
+        code, rec = run_json(capsys, argv)
+        assert code == 0
+        # compared as text: Fraction(rec["answer"]) would meet the same limit
+        assert rec["answer"] == f"{Decimal(want.numerator)}/{Decimal(want.denominator)}"
+        assert rec["answerDecimal"].endswith("E-1304")
+        code, rec = run_json(capsys, argv + ["--mode", "float"])
+        assert code == 0
+        assert rec["answer"] == "0.0"
 
 
 def test_float_answer_below_the_smallest_double_is_zero(tmp_path, capsys):

@@ -45,6 +45,50 @@ def test_uncertain_attacker_still_blocks_forced_in():
     assert "b" not in forced.forced_in
 
 
+def reference_forced_labeling(paf):
+    """The forced labels by sweeping every argument until a sweep changes nothing."""
+    af = paf.af
+    fin, fout = set(), set()
+    changed = True
+    while changed:
+        changed = False
+        for a in af.arguments:
+            if a in fin or a in fout:
+                continue
+            if all(b in fout for b in af.attackers(a)):
+                fin.add(a)
+                changed = True
+            elif any(
+                b in fin and paf.arg_certain(b) and paf.att_certain((b, a))
+                for b in af.attackers(a)
+            ):
+                fout.add(a)
+                changed = True
+    return fin, fout
+
+
+def test_forced_labeling_equals_the_sweep_reference():
+    rnd = random.Random(23)
+    labeled = 0
+    for _ in range(400):
+        # up to 12 uncertain elements, so the larger instances hold certain ones
+        paf = random_paf(rnd, max_args=rnd.choice([4, 8, 14]))
+        forced = forced_labeling(paf)
+        assert (forced.forced_in, forced.forced_out) == reference_forced_labeling(paf)
+        labeled += bool(forced.forced_in or forced.forced_out)
+    assert labeled >= 100  # the comparison is not between empty labelings
+
+
+def test_forced_labels_propagate_along_certain_chains():
+    # c1999 -> c1998 -> ... -> c0000 runs against name order: each label
+    # follows a later name's label; the chain is also run the other way
+    names = [f"c{i:04d}" for i in range(2000)]
+    for chain in (names[::-1], names):
+        forced = forced_labeling(PAF.certain(AF(names, zip(chain, chain[1:]))))
+        assert forced.forced_in == frozenset(chain[::2])
+        assert forced.forced_out == frozenset(chain[1::2])
+
+
 def test_simplify_zero_cases():
     paf = PAF.certain(AF(["a", "b"], [("a", "b")]))
     assert simplify_for_ext(paf, {"b"}).zero  # b is forced out

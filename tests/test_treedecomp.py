@@ -10,16 +10,19 @@ import pytest
 import paftd
 from paftd import (
     AF,
+    GridSpec,
     InputError,
     NiceTreeDecomposition,
     TreeDecomposition,
     decompose,
     elimination_order,
+    generate_grid,
     make_nice,
     parse_paf,
     parse_td,
 )
 from paftd.cli import run
+from paftd.treedecomp import HEURISTICS
 
 from conftest import FIXTURES, random_paf
 
@@ -56,6 +59,70 @@ def test_given_order_requires_permutation():
     order = ["x2", "x0", "x1"]
     assert elimination_order(af, order=order) == order
     assert decompose(af, order=order).validate(af) == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"heuristic": "min-degree"}, {"rng": 3}, {"heuristic": "min-degree", "rng": 3}],
+    ids=["heuristic", "rng", "both"],
+)
+@pytest.mark.parametrize("build", [elimination_order, decompose])
+def test_given_order_takes_no_heuristic_or_rng(build, extra):
+    af = parse_paf((FIXTURES / "chain5.paf").read_text()).paf.af
+    if "rng" in extra:
+        extra = dict(extra, rng=np.random.default_rng(extra["rng"]))
+    with pytest.raises(InputError, match="a given order takes no heuristic and no rng"):
+        build(af, order=list("edcba"), **extra)
+
+
+def reference_order(af, heuristic, rng=None):
+    """The greedy ordering with every remaining vertex rescored at every step."""
+    adj = {a: set() for a in af.arguments}
+    for x, y in af.attacks:
+        if x != y:
+            adj[x].add(y)
+            adj[y].add(x)
+    out = []
+    while adj:
+        if heuristic == "min-degree":
+            score = lambda v: len(adj[v])
+        else:
+            def score(v):
+                nbs = list(adj[v])
+                return sum(
+                    1
+                    for i in range(len(nbs))
+                    for j in range(i + 1, len(nbs))
+                    if nbs[j] not in adj[nbs[i]]
+                )
+        scores = {v: score(v) for v in adj}
+        best = min(scores.values())
+        ties = sorted(v for v, s in scores.items() if s == best)
+        v = ties[0] if rng is None else ties[int(rng.integers(len(ties)))]
+        out.append(v)
+        nbs = adj.pop(v)
+        for u in nbs:
+            adj[u].discard(v)
+        for u in nbs:
+            for w in nbs:
+                if u < w:
+                    adj[u].add(w)
+                    adj[w].add(u)
+    return out
+
+
+def test_order_equals_the_full_rescore_reference():
+    rnd = random.Random(33)
+    afs = [random_paf(rnd, max_args=rnd.choice([6, 10, 16])).af for _ in range(60)]
+    afs += [parse_paf((FIXTURES / f).read_text()).paf.af for f in ("chain5.paf", "cycle5.paf")]
+    # the benchmark's grid shapes: dp-replay, long-default and oracle-small
+    afs += [generate_grid(GridSpec(*shape))[0].af for shape in ((4, 30, 2), (2, 300, 1), (3, 3, 2))]
+    for af in afs:
+        for heuristic in HEURISTICS:
+            for seed in (None, 0, 1):
+                rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
+                want = reference_order(af, heuristic, rngs[0])
+                assert elimination_order(af, heuristic, rng=rngs[1]) == want, (af, heuristic, seed)
 
 
 def test_tie_break_is_deterministic_without_rng():
