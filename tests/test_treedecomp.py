@@ -63,14 +63,16 @@ def test_given_order_requires_permutation():
 
 @pytest.mark.parametrize(
     "extra",
-    [{"heuristic": "min-degree"}, {"rng": 3}, {"heuristic": "min-degree", "rng": 3}],
+    [
+        {"heuristic": "min-degree"},
+        {"rng": np.random.default_rng(3)},
+        {"heuristic": "min-degree", "rng": np.random.default_rng(3)},
+    ],
     ids=["heuristic", "rng", "both"],
 )
 @pytest.mark.parametrize("build", [elimination_order, decompose])
 def test_given_order_takes_no_heuristic_or_rng(build, extra):
     af = parse_paf((FIXTURES / "chain5.paf").read_text()).paf.af
-    if "rng" in extra:
-        extra = dict(extra, rng=np.random.default_rng(extra["rng"]))
     with pytest.raises(InputError, match="a given order takes no heuristic and no rng"):
         build(af, order=list("edcba"), **extra)
 
