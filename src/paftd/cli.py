@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     td_source.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
     td_source.add_argument("--order", type=_parse_list, help="a fixed elimination order")
     solve.add_argument("--preprocess", choices=("on", "off"), default="on")
-    solve.add_argument("--timeout", type=float, default=300.0)
+    solve.add_argument("--timeout", type=float, default=300.0, help="seconds (default 300); 0 means no limit")
     solve.add_argument("--trace", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--count-acc", help="argument for scenario counting")
     orc.add_argument("--cap", type=int, default=oracle.DEFAULT_UNCERTAINTY_CAP)
     orc.add_argument("--preprocess", choices=("on", "off"), default="off")
-    orc.add_argument("--timeout", type=float, default=300.0)
+    orc.add_argument("--timeout", type=float, default=300.0, help="seconds (default 300); 0 means no limit")
     orc.set_defaults(func=_cmd_oracle)
 
     prep = sub.add_parser("preprocess", help="forced labeling and query reduction")
@@ -301,6 +301,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if args.command == "decompose" and args.order is not None and args.seed is not None:
             parser.error("argument --seed: not allowed with argument --order")
+        if not getattr(args, "timeout", 0) >= 0:  # a negative or NaN timeout
+            parser.error("argument --timeout: give 0 (no limit) or a positive number of seconds")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

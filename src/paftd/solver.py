@@ -1,12 +1,13 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
-Tables are computed bottom-up.  A row is ``(present, und, ow, uw, p)``: four
-int bitmasks and a mass.  ``present`` (the bag arguments in the scenario),
-``und`` (those labeled undecided), ``ow`` and ``uw`` (those that have seen an
-in-labeled, resp. an undecided, attacker) hold one bit per argument in
-canonical order, so introducing or forgetting an argument never re-indexes a
-row.  No label is stored: a present member of S is in, any other present
-argument is undecided if it is in ``und`` and out otherwise.
+Tables are computed bottom-up.  A table is a dict from a row's state
+``(present, und, ow, uw)``, four int bitmasks, to its mass ``p``.
+``present`` (the bag arguments in the scenario), ``und`` (those labeled
+undecided), ``ow`` and ``uw`` (those that have seen an in-labeled, resp. an
+undecided, attacker) hold one bit per argument in canonical order, so
+introducing or forgetting an argument never re-indexes a row.  No label is
+stored: a present member of S is in, any other present argument is
+undecided if it is in ``und`` and out otherwise.
 
 Each attack is decided and charged at the forget of its first endpoint,
 while the other endpoint is still in the bag (the bags holding an argument
@@ -26,20 +27,23 @@ row's mass by ``n_a`` if ``a`` is present, else by ``d_a - n_a``, and for
 each uncertain attack it decides by ``n_r`` or ``d_r - n_r`` when both
 endpoints are present, else by ``d_r``; the table's denominator is the
 child's times ``d_a`` and each such ``d_r``.  The children of a join have
-therefore forgotten disjoint element sets: a joined row's mass is the
-product of the two, and its denominator the product of theirs.  Per-element
-denominators rather than one common multiple keep the numbers small when
-many distinct primes occur.  The ``--trace`` dump forgets the bag in sorted
-order under the same rule: a row becomes one line per decision of the
-attacks between bag members, its ``p=`` the mass of every element below.
+therefore forgotten disjoint element sets: a matched pair of rows adds the
+product of its masses, and the join's denominator is the product of theirs.
+Per-element denominators rather than one common multiple keep the numbers
+small when many distinct primes occur.  The ``--trace`` dump forgets the
+bag in sorted order under the same rule: a row becomes one line per
+decision of the attacks between bag members, its ``p=`` the mass of every
+element below.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
 neighbor of an in-labeled argument must be out.  This makes the surviving
 labeling unique per scenario, so the root row sums each scenario exactly
-once.  Rows are only merged at forget nodes; between forgets duplicate
-(structure, witness) rows may coexist, which leaves per-node tables bounded
-by a function of the bag alone.
+once.  Every step keeps one row per state: an introduce makes distinct
+states, and a forget or a join adds the masses that meet on one state.  A
+table therefore has at most ``9**len(bag)`` rows: a bag argument outside S
+is absent, or present as out or undecided with four ``ow``/``uw`` choices; a
+member of S is present with four.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .treedecomp import (
     FORGET,
     INTRO,
     JOIN,
-    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     decompose,
@@ -76,7 +79,6 @@ UND = "U"
 class NodeStats:
     kind: str
     bag_size: int
-    uncertain_bag_attacks: int
     rows: int
 
 
@@ -161,7 +163,7 @@ def solve(
             td = make_nice(td)
 
     ctx = _Context(paf, S, sigma)
-    tables: dict[int, tuple] = {}  # node -> (rows, denominator, uncertain bag attacks)
+    tables: dict[int, tuple] = {}  # node -> (rows, denominator)
     stats: dict[int, NodeStats] = {}
     trace_lines: list[str] | None = [] if trace else None
 
@@ -169,29 +171,24 @@ def solve(
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("solver ran out of time")
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
-        if kind == LEAF:
-            rows, den, uncertain = [(0, 0, 0, 0, 1)], 1, 0
-        elif kind == INTRO:
-            rows, den, uncertain = tables.pop(kids[0])
+        # a leaf starts from the one empty row, any other node from its first child
+        rows, den = tables.pop(kids[0]) if kids else ({(0, 0, 0, 0): 1}, 1)
+        if kind == INTRO:
             rows = _introduce(rows, a, ctx)
-            uncertain += ctx.decided(a, ctx.mask(bag))[1]
         elif kind == FORGET:
-            rows, den, uncertain = tables.pop(kids[0])
-            decided, charged, decided_den = ctx.decided(a, ctx.mask(bag) | ctx.bit[a])
+            decided, decided_den = ctx.decided(a, ctx.mask(bag) | ctx.bit[a])
             rows, den = _forget(rows, a, decided, ctx), den * decided_den
-            uncertain -= charged
-        else:
-            left, left_den, uncertain = tables.pop(kids[0])
-            right, right_den, _ = tables.pop(kids[1])
-            rows, den = _join(left, right), left_den * right_den
-        tables[t] = rows, den, uncertain
-        stats[t] = NodeStats(kind, len(bag), uncertain, len(rows))
+        elif kind == JOIN:
+            right, right_den = tables.pop(kids[1])
+            rows, den = _join(rows, right), den * right_den
+        tables[t] = rows, den
+        stats[t] = NodeStats(kind, len(bag), len(rows))
         if trace_lines is not None:
             trace_lines.extend(_dump(t, rows, den, bag, ctx, answer))
 
-    rows, den, _ = tables[td.root]
+    rows, den = tables[td.root]
     return SolveResult(
-        Fraction(sum(row[-1] for row in rows), den),
+        Fraction(sum(rows.values()), den),
         mode,
         td.width(),
         td.node_count(),
@@ -230,11 +227,10 @@ class _Context:
 
     def decided(self, a: str, bag_mask: int):
         """The attacks decided where ``a`` leaves a bag, those between ``a``
-        and ``bag_mask`` (which holds ``a``), how many are uncertain, and the
-        denominator that forget multiplies into the table's."""
+        and ``bag_mask`` (which holds ``a``), and the denominator that forget
+        multiplies into the table's."""
         decided = [r for r in self.incident[a] if not r[1] & ~bag_mask]
-        den = prod((r[4][2] for r in decided), start=self.warg[a][2])
-        return decided, sum(1 for r in decided if r[4][1]), den
+        return decided, prod((r[4][2] for r in decided), start=self.warg[a][2])
 
     def choices(self, a: str, present: int, und: int, decided):
         """The conflict-free decisions of the ``decided`` attacks in a row's
@@ -263,19 +259,19 @@ class _Context:
 
 
 def _introduce(rows, a, ctx: _Context):
-    out = []
+    out = {}
     bit = ctx.bit[a]
     in_s = ctx.s_mask & bit
     # every other bag member of S is present already: only ``a`` can be an
     # absent member of S, and that row is not emitted; nor is a certain ``a``
     keep_absent = ctx.warg[a][1] and not in_s
     und_choices = (0,) if in_s or ctx.sigma == "stb" else (0, bit)
-    for row in rows:
-        present, und, ow, uw, p = row
+    for key, p in rows.items():
+        present, und, ow, uw = key
         if keep_absent:
-            out.append(row)
+            out[key] = p
         for und_a in und_choices:
-            out.append((present | bit, und | und_a, ow, uw, p))
+            out[present | bit, und | und_a, ow, uw] = p
     return out
 
 
@@ -286,7 +282,7 @@ def _forget(rows, a, decided, ctx: _Context):
     keep = ~bit
     needs_witness = not ctx.s_mask & bit  # an in-label needs none
     com = ctx.sigma == "com"
-    for present, und, ow, uw, p in rows:
+    for (present, und, ow, uw), p in rows.items():
         if (present, und) not in options:
             options[present, und] = ctx.choices(a, present, und, decided)
         for _, ow_bits, uw_bits, factor in options[present, und]:
@@ -299,18 +295,19 @@ def _forget(rows, a, decided, ctx: _Context):
                     continue
             key = (present & keep, und & keep, new_ow & keep, new_uw & keep)
             merged[key] = merged.get(key, 0) + p * factor
-    return [key + (p,) for key, p in merged.items()]
+    return merged
 
 
 def _join(left, right):
     by_structure: dict[tuple, list] = {}
-    for row in right:
-        by_structure.setdefault(row[:2], []).append(row)
-    out = []
-    for present, und, ow1, uw1, p1 in left:
-        for _, _, ow2, uw2, p2 in by_structure.get((present, und), ()):
-            out.append((present, und, ow1 | ow2, uw1 | uw2, p1 * p2))
-    return out
+    for (present, und, ow, uw), p in right.items():
+        by_structure.setdefault((present, und), []).append((ow, uw, p))
+    merged: dict[tuple, object] = {}
+    for (present, und, ow1, uw1), p1 in left.items():
+        for ow2, uw2, p2 in by_structure.get((present, und), ()):
+            key = (present, und, ow1 | ow2, uw1 | uw2)
+            merged[key] = merged.get(key, 0) + p1 * p2
+    return merged
 
 
 def _format_value(value) -> str:
@@ -327,7 +324,7 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
     # deciding its attacks as the forgets above the node would
     steps, bag_mask = [], ctx.mask(bag)
     for a in order:
-        decided, _, decided_den = ctx.decided(a, bag_mask)
+        decided, decided_den = ctx.decided(a, bag_mask)
         steps.append((a, decided))
         den = den * decided_den
         bag_mask &= ~ctx.bit[a]
@@ -335,7 +332,7 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
     bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
     decoded = []
-    for present, und, ow, uw, p in rows:
+    for (present, und, ow, uw), p in rows.items():
         expanded = [(0, ow, uw, p)]
         for a, decided in steps:
             options = ctx.choices(a, present, und, decided)

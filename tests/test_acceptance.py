@@ -213,8 +213,7 @@ def test_criterion_8_scaling():
             elapsed = dt
         max_rows[n] = res.max_table_rows()
         for stats in res.node_stats.values():
-            b, u = stats.bag_size, stats.uncertain_bag_attacks
-            if stats.rows > 3**b * 2 ** (b + u) * 4**b:
+            if stats.rows > 9**stats.bag_size:
                 within_bound = False
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = elapsed < 120 and rss_mb < 8192 and within_bound

@@ -245,6 +245,19 @@ def test_solve_timeout_exits_4(capsys):
     assert capsys.readouterr().err == "error: solver ran out of time\n"
 
 
+@pytest.mark.parametrize("command", [["solve", CYCLE5, "--set", "a,c,e"], ["oracle", CYCLE5]])
+@pytest.mark.parametrize("timeout", ["-1", "nan"])
+def test_negative_or_nan_timeout_is_a_usage_error(command, timeout, capsys):
+    assert run([*command, "--timeout", timeout]) == 2
+    assert "argument --timeout" in capsys.readouterr().err
+
+
+def test_zero_timeout_means_no_limit(capsys):
+    code, rec = run_json(capsys, ["solve", CYCLE5, "--set", "a,c,e", "--timeout", "0"])
+    assert code == 0
+    assert rec["answer"] == "18/25"
+
+
 def test_solve_order_fixes_the_decomposition(capsys):
     # preprocessing would remove d, so the order is replayed on the file's instance
     argv = ["solve", CHAIN5, "--set", "a,e", "--order", "a,b,c,d,e"]
