@@ -303,6 +303,8 @@ def run(argv) -> int:
             parser.error("argument --seed: not allowed with argument --order")
         if not getattr(args, "timeout", 0) >= 0:  # a negative or NaN timeout
             parser.error("argument --timeout: give 0 (no limit) or a positive number of seconds")
+        if getattr(args, "cap", 0) < 0:
+            parser.error("argument --cap: give a non-negative number of uncertain elements")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

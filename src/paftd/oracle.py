@@ -3,6 +3,8 @@
 This module is the ground truth the tree-decomposition solver is checked
 against: it materializes every scenario of a PAF, evaluates the queried
 semantics directly on it, and sums probabilities (or counts scenarios).
+Probabilities are exact ints over one denominator, the product of the
+denominators of the uncertain elements, and an answer is divided once.
 Runtime is exponential in the number of uncertain elements, so a capacity
 cap guards every entry point.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import prod
 from typing import Iterator
 
 from .core import PAF, Subframework
@@ -26,51 +29,62 @@ _DEADLINE_STRIDE = 256
 def _check_capacity(paf: PAF, cap: int) -> None:
     n = paf.uncertainty_count()
     if n > cap:
-        raise CapacityError(
-            f"{n} uncertain elements exceed the enumeration cap of {cap}"
-        )
+        raise CapacityError(f"{n} uncertain elements exceed the enumeration cap of {cap}")
 
 
-def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[frozenset, frozenset, Fraction]]:
-    """Yield (present arguments, present attacks, probability) for every
-    certain-respecting subframework, exactly once each.
+def _denominator(paf: PAF) -> int:
+    """The product of the uncertain elements' denominators (a certain one's is 1)."""
+    return prod(p.denominator for p in (*paf.arg_prob.values(), *paf.att_prob.values()))
 
-    Order is a binary counter over the uncertain arguments (canonical order,
-    first argument in the least significant position, bit set = present),
-    then for each argument choice a binary counter over the uncertain attacks
-    whose endpoints are both present.
+
+def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
+    """Yield (bitmask view, weight) for every certain-respecting subframework,
+    exactly once each; its probability is weight / ``_denominator(paf)``.
+
+    An uncertain element with probability n/d puts n into the weight when
+    present and d - n when absent; an uncertain attack with an absent
+    endpoint puts d.  Order is a binary counter over the uncertain arguments
+    (canonical order, first argument in the least significant position, bit
+    set = present), then for each argument choice a binary counter over the
+    uncertain attacks (sorted) whose endpoints are both present.
     """
-    certain_args = frozenset(a for a in paf.af.arguments if paf.arg_certain(a))
-    u_args = paf.uncertain_args()
-    all_atts = sorted(paf.af.attacks)
+    args = paf.af.arguments
+    probs = [paf.arg_prob[a] for a in args]
+    certain = sum(1 << i for i, p in enumerate(probs) if p == 1)
+    u_args = [(1 << i, p.numerator, p.denominator - p.numerator) for i, p in enumerate(probs) if p != 1]
+    index = {a: i for i, a in enumerate(args)}
+    atts = [(index[x], index[y], paf.att_prob[x, y]) for x, y in sorted(paf.af.attacks)]
     ticks = 0
     for amask in range(1 << len(u_args)):
-        present = set(certain_args)
-        p_args = Fraction(1)
-        for i, a in enumerate(u_args):
+        present, w_args = certain, 1
+        for i, (bit, n, m) in enumerate(u_args):
             if amask >> i & 1:
-                present.add(a)
-                p_args *= paf.arg_prob[a]
+                present |= bit
+                w_args *= n
             else:
-                p_args *= 1 - paf.arg_prob[a]
-        present = frozenset(present)
-        possible = [r for r in all_atts if r[0] in present and r[1] in present]
-        forced = [r for r in possible if paf.att_certain(r)]
-        u_atts = [r for r in possible if not paf.att_certain(r)]
+                w_args *= m
+        att_of, tgt_of, u_atts = [0] * len(args), [0] * len(args), []
+        for xi, yi, p in atts:
+            if not (present >> xi & 1 and present >> yi & 1):
+                w_args *= p.denominator
+            elif p.denominator == 1:
+                att_of[yi] |= 1 << xi
+                tgt_of[xi] |= 1 << yi
+            else:
+                u_atts.append((xi, yi, p.numerator, p.denominator - p.numerator))
         for rmask in range(1 << len(u_atts)):
             ticks += 1
-            if deadline is not None and ticks % _DEADLINE_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise BudgetExceeded("oracle enumeration ran out of time")
-            atts = list(forced)
-            p = p_args
-            for i, r in enumerate(u_atts):
+            if deadline is not None and ticks % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                raise BudgetExceeded("oracle enumeration ran out of time")
+            a_of, t_of, w = att_of[:], tgt_of[:], w_args
+            for i, (xi, yi, n, m) in enumerate(u_atts):
                 if rmask >> i & 1:
-                    atts.append(r)
-                    p *= paf.att_prob[r]
+                    a_of[yi] |= 1 << xi
+                    t_of[xi] |= 1 << yi
+                    w *= n
                 else:
-                    p *= 1 - paf.att_prob[r]
-            yield present, frozenset(atts), p
+                    w *= m
+            yield _Scenario(present, a_of, t_of), w
 
 
 def enumerate_subframeworks(
@@ -78,27 +92,23 @@ def enumerate_subframeworks(
 ) -> Iterator[tuple[Subframework, Fraction]]:
     """Stream every certain-respecting subframework with its probability."""
     _check_capacity(paf, cap)
-    for present, atts, p in _iter_scenarios(paf, deadline):
-        yield Subframework(present, atts), p
+    args, den = paf.af.arguments, _denominator(paf)
+    for sc, w in _iter_scenarios(paf, deadline):
+        present = frozenset(a for i, a in enumerate(args) if sc.present >> i & 1)
+        atts = frozenset((x, y) for j, y in enumerate(args)
+                         for i, x in enumerate(args) if sc.att_of[j] >> i & 1)
+        yield Subframework(present, atts), Fraction(w, den)
 
 
 class _Scenario:
     """Bitmask view of one subframework, for fast semantics checks."""
 
-    __slots__ = ("n", "present", "att_of", "tgt_of")
+    __slots__ = ("present", "att_of", "tgt_of")
 
-    def __init__(self, index: dict[str, int], present_args, atts):
-        self.n = len(index)
-        present = 0
-        for a in present_args:
-            present |= 1 << index[a]
+    def __init__(self, present: int, att_of: list[int], tgt_of: list[int]):
         self.present = present
-        self.att_of = [0] * self.n
-        self.tgt_of = [0] * self.n
-        for x, y in atts:
-            xi, yi = index[x], index[y]
-            self.att_of[yi] |= 1 << xi
-            self.tgt_of[xi] |= 1 << yi
+        self.att_of = att_of  # att_of[i]: bits of the attackers of argument i
+        self.tgt_of = tgt_of  # tgt_of[i]: bits of the targets of argument i
 
     def attacked_by(self, mask: int) -> int:
         out = 0
@@ -182,11 +192,11 @@ def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bo
     _check_capacity(paf, cap)
     index = {a: i for i, a in enumerate(paf.af.arguments)}
     mask = sum(1 << index[a] for a in paf.af.check_subset(members))
-    total = Fraction(0) if weighted else 0
-    for present, atts, p in _iter_scenarios(paf, deadline):
-        if holds(_Scenario(index, present, atts), mask, sigma):
-            total += p if weighted else 1
-    return total
+    total = 0
+    for scenario, w in _iter_scenarios(paf, deadline):
+        if holds(scenario, mask, sigma):
+            total += w if weighted else 1
+    return Fraction(total, _denominator(paf)) if weighted else total
 
 
 def p_ext_oracle(

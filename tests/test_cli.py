@@ -240,6 +240,27 @@ def test_capacity_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_timeout_exits_4(tmp_path, capsys):
+    # 10 uncertain arguments: 1024 scenarios, past the first deadline check
+    paf = tmp_path / "ten.paf"
+    paf.write_text("".join(f"arg x{i} 0.5\n" for i in range(10)))
+    assert run(["oracle", str(paf), "--ext", "x0", "--timeout", "1e-9"]) == 4
+    assert capsys.readouterr().err == "error: oracle enumeration ran out of time\n"
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    assert run(["oracle", CYCLE5, "--cap", "-1"]) == 2
+    assert "argument --cap" in capsys.readouterr().err
+
+
+def test_zero_cap_answers_a_certain_instance(tmp_path, capsys):
+    paf = tmp_path / "certain.paf"
+    paf.write_text("arg a 1\narg b 1\natt a b 1\n")
+    code, rec = run_json(capsys, ["oracle", str(paf), "--ext", "a", "--cap", "0"])
+    assert code == 0
+    assert rec["answer"] == "1"
+
+
 def test_solve_timeout_exits_4(capsys):
     assert run(["solve", CYCLE5, "--set", "a,c,e", "--timeout", "1e-9"]) == 4
     assert capsys.readouterr().err == "error: solver ran out of time\n"

@@ -7,8 +7,10 @@ import paftd
 from paftd import (
     AF,
     PAF,
+    BudgetExceeded,
     CapacityError,
     InputError,
+    Subframework,
     count_acc,
     count_ext,
     enumerate_subframeworks,
@@ -18,6 +20,7 @@ from paftd import (
     parse_paf,
     subframework_probability,
 )
+from paftd.oracle import ORACLE_SEMANTICS, _Scenario
 
 from conftest import FIXTURES, random_paf, random_subset
 
@@ -103,6 +106,14 @@ def test_capacity_cap():
     assert p_ext_oracle(small, "adm", set(), cap=5) == 1
 
 
+def test_deadline_stops_the_enumeration():
+    # 10 uncertain arguments: 1024 scenarios, past the first deadline check
+    names = [f"x{i}" for i in range(10)]
+    paf = PAF(AF(names), {a: Fraction(1, 2) for a in names}, {})
+    with pytest.raises(BudgetExceeded):
+        p_ext_oracle(paf, "com", {"x0"}, deadline=0.0)
+
+
 def test_cycle5_oracle_values(cycle5):
     S = {"a", "c", "e"}
     assert p_ext_oracle(cycle5, "com", S) == Fraction(18, 25)
@@ -147,3 +158,67 @@ def test_entry_point_contract(fn, never, hit, expected, unknown):
 def test_every_export_resolves():
     for name in paftd.__all__:
         assert getattr(paftd, name) is not None, name
+
+
+def _reference_scenarios(paf):
+    """The oracle's enumeration with one Fraction per element per scenario:
+    (present arguments, present attacks, probability), in the oracle's order."""
+    certain_args = frozenset(a for a in paf.af.arguments if paf.arg_certain(a))
+    u_args = paf.uncertain_args()
+    all_atts = sorted(paf.af.attacks)
+    for amask in range(1 << len(u_args)):
+        present = set(certain_args)
+        p_args = Fraction(1)
+        for i, a in enumerate(u_args):
+            if amask >> i & 1:
+                present.add(a)
+                p_args *= paf.arg_prob[a]
+            else:
+                p_args *= 1 - paf.arg_prob[a]
+        present = frozenset(present)
+        possible = [r for r in all_atts if r[0] in present and r[1] in present]
+        forced = [r for r in possible if paf.att_certain(r)]
+        u_atts = [r for r in possible if not paf.att_certain(r)]
+        for rmask in range(1 << len(u_atts)):
+            atts = list(forced)
+            p = p_args
+            for i, r in enumerate(u_atts):
+                if rmask >> i & 1:
+                    atts.append(r)
+                    p *= paf.att_prob[r]
+                else:
+                    p *= 1 - paf.att_prob[r]
+            yield present, frozenset(atts), p
+
+
+def _bitmask_view(index, present, atts):
+    view = object.__new__(_Scenario)
+    view.present = sum(1 << index[a] for a in present)
+    view.att_of = [0] * len(index)
+    view.tgt_of = [0] * len(index)
+    for x, y in atts:
+        view.att_of[index[y]] |= 1 << index[x]
+        view.tgt_of[index[x]] |= 1 << index[y]
+    return view
+
+
+def test_integer_weights_match_the_fraction_reference():
+    rnd = random.Random(15)
+    for _ in range(300):
+        paf = random_paf(rnd, max_args=6, max_uncertain=10)
+        index = {a: i for i, a in enumerate(paf.af.arguments)}
+        reference = list(_reference_scenarios(paf))
+        assert list(enumerate_subframeworks(paf)) == [
+            (Subframework(present, atts), p) for present, atts, p in reference
+        ]
+        views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
+        S = random_subset(rnd, paf)
+        a = rnd.choice(paf.af.arguments)
+        s_mask, a_bit = sum(1 << index[x] for x in S), 1 << index[a]
+        for sigma in ORACLE_SEMANTICS:
+            ext = [p for view, p in views if view.is_extension(s_mask, sigma)]
+            acc = [p for view, p in views if view.accepts(a_bit, sigma)]
+            assert p_ext_oracle(paf, sigma, S) == sum(ext, Fraction(0))
+            assert count_ext(paf, sigma, S) == len(ext)
+            assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0))
+            assert count_acc(paf, sigma, a) == len(acc)
