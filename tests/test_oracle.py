@@ -192,6 +192,8 @@ def _reference_scenarios(paf):
 
 
 def _bitmask_view(index, present, atts):
+    """A `_Scenario` built from names, without its constructor, whose
+    signature is not part of what the reference pins down."""
     view = object.__new__(_Scenario)
     view.present = sum(1 << index[a] for a in present)
     view.att_of = [0] * len(index)
