@@ -5,8 +5,9 @@ against: it materializes every scenario of a PAF, evaluates the queried
 semantics directly on it, and sums probabilities (or counts scenarios).
 Probabilities are exact ints over one denominator, the product of the
 denominators of the uncertain elements, and an answer is divided once.
-Runtime is exponential in the number of uncertain elements, so a capacity
-cap guards every entry point.
+Credulous acceptance grows an admissible set from the argument by a defence
+search.  Runtime is exponential in the number of uncertain elements, so a
+capacity cap guards every entry point.
 """
 
 from __future__ import annotations
@@ -169,11 +170,16 @@ class _Scenario:
 
     def accepts(self, abit: int, sigma: str) -> bool:
         """Credulous acceptance: some sigma-extension contains the argument
-        whose bit is ``abit``."""
+        whose bit is ``abit``.  Under adm and com it is ``defensible``, as every
+        admissible set extends to a complete one; a stable extension is
+        admissible, so stb tries subsets only when ``defensible`` holds."""
         if not self.present & abit:
             return False
         if sigma == "grd":
             return bool(self.grounded() & abit)
+        found = self.defensible(abit)
+        if not found or sigma != "stb":
+            return found
         rest = self.present & ~abit
         sub = rest
         while True:
@@ -182,6 +188,36 @@ class _Scenario:
             if sub == 0:
                 return False
             sub = (sub - 1) & rest
+
+    def defensible(self, abit: int) -> bool:
+        """Whether some admissible set holds the argument whose bit is ``abit``
+        (Modgil & Caminada, 2009).  S grows from ``{a}``: for the lowest
+        attacker ``b`` of S that S does not attack yet, one branch adds each
+        attacker of ``b`` that keeps S conflict-free.  An S with no such ``b``
+        is admissible, so a yes is sound; if E is admissible and holds ``a``,
+        each step can pick a defender from E, so the search never leaves E and
+        answers yes.  S can hold every present argument: the stack is explicit.
+        """
+        a = abit.bit_length() - 1
+        if self.tgt_of[a] & abit:
+            return False
+        stack, seen = [(abit, self.tgt_of[a], self.att_of[a])], {abit}
+        while stack:
+            S, hit, att = stack.pop()
+            undefended = att & self.present & ~hit
+            if not undefended:
+                return True
+            b = (undefended & -undefended).bit_length() - 1
+            m = self.att_of[b] & self.present
+            while m:
+                c = m & -m
+                m ^= c
+                i = c.bit_length() - 1
+                T, h = S | c, hit | self.tgt_of[i]
+                if not h & T and T not in seen:
+                    seen.add(T)
+                    stack.append((T, h, att | self.att_of[i]))
+        return False
 
 
 def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bool):

@@ -42,8 +42,10 @@ labeling unique per scenario, so the root row sums each scenario exactly
 once.  Every step keeps one row per state: an introduce makes distinct
 states, and a forget or a join adds the masses that meet on one state.  A
 table therefore has at most ``9**len(bag)`` rows: a bag argument outside S
-is absent, or present as out or undecided with four ``ow``/``uw`` choices; a
-member of S is present with four.
+is absent, or present as out or undecided with four ``ow``/``uw`` choices.
+A member of S has one state, present with no witness bit: an attack onto it
+from an in-labeled or undecided argument is a conflict, and one from an out
+argument sets no bit.
 """
 
 from __future__ import annotations

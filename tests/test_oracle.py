@@ -1,5 +1,9 @@
+import ast
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from paftd import (
     parse_paf,
     subframework_probability,
 )
+from paftd import oracle
 from paftd.oracle import ORACLE_SEMANTICS, _Scenario
 
 from conftest import FIXTURES, random_paf, random_subset
@@ -224,3 +229,60 @@ def test_integer_weights_match_the_fraction_reference():
             assert count_ext(paf, sigma, S) == len(ext)
             assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0))
             assert count_acc(paf, sigma, a) == len(acc)
+
+
+def _subset_accepts(view, abit, sigma):
+    """Credulous acceptance by trying every subset of the present arguments
+    that holds the argument: the reference for the oracle's defence search."""
+    if not view.present & abit:
+        return False
+    rest = view.present & ~abit
+    sub = rest
+    while True:
+        if view.is_extension(sub | abit, sigma):
+            return True
+        if sub == 0:
+            return False
+        sub = (sub - 1) & rest
+
+
+def test_acceptance_matches_the_subset_search():
+    rnd = random.Random(16)
+    for _ in range(300):
+        paf = random_paf(rnd, max_args=6, max_uncertain=8)
+        index = {a: i for i, a in enumerate(paf.af.arguments)}
+        views = [(_bitmask_view(index, present, atts), p)
+                 for present, atts, p in _reference_scenarios(paf)]
+        for a in paf.af.arguments:
+            for sigma in ORACLE_SEMANTICS:
+                acc = [p for view, p in views if _subset_accepts(view, 1 << index[a], sigma)]
+                assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0)), (paf, a, sigma)
+                assert count_acc(paf, sigma, a) == len(acc), (paf, a, sigma)
+
+
+def test_acceptance_on_a_deep_chain():
+    # a0 -> a1 -> ... -> a2500: a2500 is defended by a2498, a2496, ..., a0,
+    # so the defence search goes 1250 sets deep; the subset search would
+    # try up to 2**2500 sets
+    names = [f"a{i}" for i in range(2501)]
+    paf = PAF.certain(AF(names, list(zip(names, names[1:]))))
+    start = time.perf_counter()
+    for sigma in ("adm", "com"):
+        assert p_acc_oracle(paf, sigma, "a2500") == 1
+        assert p_acc_oracle(paf, sigma, "a2499") == 0
+    # no admissible set holds a2499, so stb answers before its subset search
+    assert p_acc_oracle(paf, "stb", "a2499") == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_oracle_imports_only_core_errors_and_the_standard_library():
+    # the oracle is the DP's independent reference, so it must not share
+    # code with the solver, preprocessing or tree decompositions
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("core", "errors"), ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [n.name for n in node.names]
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
