@@ -5,15 +5,17 @@ against: it materializes every scenario of a PAF, evaluates the queried
 semantics directly on it, and sums probabilities (or counts scenarios).
 Probabilities are exact ints over one denominator, the product of the
 denominators of the uncertain elements, and an answer is divided once.
-Credulous acceptance grows an admissible set from the argument by a defence
-search.  Runtime is exponential in the number of uncertain elements, so a
-capacity cap guards every entry point.
+Credulous acceptance under adm, com and stb is one search that grows a
+conflict-free set from the argument until it is admissible or stable.
+Runtime is exponential in the number of uncertain elements, so a capacity
+cap guards every entry point.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import Iterator
 
@@ -101,8 +103,22 @@ def enumerate_subframeworks(
         yield Subframework(present, atts), Fraction(w, den)
 
 
+def _union(rows: list[int], mask: int) -> int:
+    """The union of ``rows[i]`` over the bits ``i`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class _Scenario:
-    """Bitmask view of one subframework, for fast semantics checks."""
+    """Bitmask view of one subframework, for fast semantics checks.
+
+    ``att_of`` and ``tgt_of`` hold only attacks whose endpoints are both
+    present, so no check masks them with ``present``.
+    """
 
     __slots__ = ("present", "att_of", "tgt_of")
 
@@ -111,44 +127,26 @@ class _Scenario:
         self.att_of = att_of  # att_of[i]: bits of the attackers of argument i
         self.tgt_of = tgt_of  # tgt_of[i]: bits of the targets of argument i
 
-    def attacked_by(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= self.tgt_of[low.bit_length() - 1]
-            m ^= low
-        return out
-
     def is_extension(self, S: int, sigma: str) -> bool:
         if S & ~self.present:
             return False
-        # conflict-freeness: no member attacked from within S
-        m = S
-        while m:
-            low = m & -m
-            if self.att_of[low.bit_length() - 1] & S:
-                return False
-            m ^= low
+        hit = _union(self.tgt_of, S)
+        if hit & S:
+            return False
         if sigma == "grd":
             return S == self.grounded()
-        hit = self.attacked_by(S)
         if sigma == "stb":
-            return (self.present & ~S) & ~hit == 0
+            return self.present & ~S & ~hit == 0
         # admissibility: every attacker of S is counter-attacked
-        m = S
-        while m:
-            low = m & -m
-            if self.att_of[low.bit_length() - 1] & self.present & ~hit:
-                return False
-            m ^= low
+        if _union(self.att_of, S) & ~hit:
+            return False
         if sigma == "adm":
             return True
         # completeness: every defended argument already belongs to S
         m = self.present & ~S
         while m:
             low = m & -m
-            if self.att_of[low.bit_length() - 1] & self.present & ~hit == 0:
+            if self.att_of[low.bit_length() - 1] & ~hit == 0:
                 return False
             m ^= low
         return True
@@ -156,59 +154,53 @@ class _Scenario:
     def grounded(self) -> int:
         S = 0
         while True:
-            hit = self.attacked_by(S)
+            hit = _union(self.tgt_of, S)
             T = 0
             m = self.present
             while m:
                 low = m & -m
-                if self.att_of[low.bit_length() - 1] & self.present & ~hit == 0:
+                if self.att_of[low.bit_length() - 1] & ~hit == 0:
                     T |= low
                 m ^= low
             if T == S:
                 return S
             S = T
 
-    def accepts(self, abit: int, sigma: str) -> bool:
+    def accepts(self, abit: int, sigma: str, deadline=None) -> bool:
         """Credulous acceptance: some sigma-extension contains the argument
-        whose bit is ``abit``.  Under adm and com it is ``defensible``, as every
-        admissible set extends to a complete one; a stable extension is
-        admissible, so stb tries subsets only when ``defensible`` holds."""
+        whose bit is ``abit`` (for grd, the grounded extension does).
+
+        A search grows a conflict-free S from ``{a}`` (Modgil & Caminada,
+        2009).  An argument is open when it is present, outside S and not
+        attacked by S, and, under adm and com, attacks S.  For the lowest open
+        ``b`` it branches on ``b`` and on each attacker of ``b``, wherever S
+        stays conflict-free (under adm and com, ``b`` never does).  With
+        nothing open, S is admissible, so it extends to a complete set, or
+        under stb S is stable: a yes is sound.  If some extension E holds
+        ``a``, each step can add a member of E (``b`` if it is in E, else an
+        attacker of ``b`` in E), so the search never leaves E and answers yes.
+        S can hold every present argument: the stack is explicit, and the
+        deadline is checked every ``_DEADLINE_STRIDE`` steps.
+        """
         if not self.present & abit:
             return False
         if sigma == "grd":
             return bool(self.grounded() & abit)
-        found = self.defensible(abit)
-        if not found or sigma != "stb":
-            return found
-        rest = self.present & ~abit
-        sub = rest
-        while True:
-            if self.is_extension(sub | abit, sigma):
-                return True
-            if sub == 0:
-                return False
-            sub = (sub - 1) & rest
-
-    def defensible(self, abit: int) -> bool:
-        """Whether some admissible set holds the argument whose bit is ``abit``
-        (Modgil & Caminada, 2009).  S grows from ``{a}``: for the lowest
-        attacker ``b`` of S that S does not attack yet, one branch adds each
-        attacker of ``b`` that keeps S conflict-free.  An S with no such ``b``
-        is admissible, so a yes is sound; if E is admissible and holds ``a``,
-        each step can pick a defender from E, so the search never leaves E and
-        answers yes.  S can hold every present argument: the stack is explicit.
-        """
         a = abit.bit_length() - 1
         if self.tgt_of[a] & abit:
             return False
-        stack, seen = [(abit, self.tgt_of[a], self.att_of[a])], {abit}
+        scope = self.present if sigma == "stb" else 0
+        stack, seen, steps = [(abit, self.tgt_of[a], self.att_of[a])], {abit}, 0
         while stack:
+            steps += 1
+            if deadline is not None and steps % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                raise BudgetExceeded("oracle enumeration ran out of time")
             S, hit, att = stack.pop()
-            undefended = att & self.present & ~hit
-            if not undefended:
+            open_ = (att | scope & ~S) & ~hit
+            if not open_:
                 return True
-            b = (undefended & -undefended).bit_length() - 1
-            m = self.att_of[b] & self.present
+            low = open_ & -open_
+            m = self.att_of[low.bit_length() - 1] | low
             while m:
                 c = m & -m
                 m ^= c
@@ -255,7 +247,8 @@ def p_acc_oracle(
 ) -> Fraction:
     """Probability that ``a`` is credulously accepted: some sigma-extension
     contains it (for ``grd``, it is in the grounded extension)."""
-    return _fold(paf, sigma, (a,), cap, deadline, _Scenario.accepts, weighted=True)
+    holds = partial(_Scenario.accepts, deadline=deadline)
+    return _fold(paf, sigma, (a,), cap, deadline, holds, weighted=True)
 
 
 def count_ext(
@@ -278,4 +271,5 @@ def count_acc(
 ) -> int:
     """Number of scenarios in which ``a`` is credulously accepted: some
     sigma-extension contains it (for ``grd``, it is in the grounded extension)."""
-    return _fold(paf, sigma, (a,), cap, deadline, _Scenario.accepts, weighted=False)
+    holds = partial(_Scenario.accepts, deadline=deadline)
+    return _fold(paf, sigma, (a,), cap, deadline, holds, weighted=False)

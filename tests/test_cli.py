@@ -232,6 +232,44 @@ def test_malformed_td_file_is_an_input_error(tmp_path, edges):
     assert proc.stderr.startswith("error: ")
 
 
+def _stable_acceptance(tmp_path, af, arg):
+    """``paftd oracle --acc arg --semantics stable --timeout 1`` on the certain
+    PAF over ``af``, in a subprocess with a timeout, so that a search that
+    runs past --timeout fails the test."""
+    path = tmp_path / "in.paf"
+    path.write_text(serialize_paf(PAF.certain(af)))
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "paftd", "oracle", str(path), "--acc", arg,
+         "--semantics", "stable", "--timeout", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+
+
+def test_stable_acceptance_on_a_chain_answers_within_its_timeout(tmp_path):
+    # a00 -> a01 -> ... -> a30: the one stable extension holds a30
+    names = [f"a{i:02d}" for i in range(31)]
+    proc = _stable_acceptance(tmp_path, AF(names, list(zip(names, names[1:]))), "a30")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["answer"] == "1"
+
+
+def test_stable_acceptance_search_stops_at_its_timeout(tmp_path):
+    # 22 certain 2-cycles x_i <-> y_i and a self-attacking zz: no stable
+    # extension exists, and the search meets zz only after it picks a side
+    # of each other cycle, 2**21 ways; none of the 45 arguments is uncertain,
+    # so only the deadline inside the search can stop it
+    pairs = [(f"x{i:02d}", f"y{i:02d}") for i in range(22)]
+    attacks = pairs + [(y, x) for x, y in pairs] + [("zz", "zz")]
+    names = [a for pair in pairs for a in pair] + ["zz"]
+    proc = _stable_acceptance(tmp_path, AF(names, attacks), "x00")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: oracle enumeration ran out of time\n"
+
+
 def test_capacity_errors_exit_4(tmp_path, capsys):
     lines = [f"arg x{i} 0.5" for i in range(40)]
     big = tmp_path / "big.paf"

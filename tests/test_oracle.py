@@ -270,7 +270,10 @@ def test_acceptance_on_a_deep_chain():
     for sigma in ("adm", "com"):
         assert p_acc_oracle(paf, sigma, "a2500") == 1
         assert p_acc_oracle(paf, sigma, "a2499") == 0
-    # no admissible set holds a2499, so stb answers before its subset search
+    # under stb the search also branches on each open argument itself: for
+    # a2500 it adds a0, a2, ..., a2498, the one stable extension; for a2499
+    # it meets a2498, which attacks S and whose attacker a2497 S attacks
+    assert p_acc_oracle(paf, "stb", "a2500") == 1
     assert p_acc_oracle(paf, "stb", "a2499") == 0
     assert time.perf_counter() - start < 1
 
