@@ -172,15 +172,18 @@ class _Scenario:
 
         A search grows a conflict-free S from ``{a}`` (Modgil & Caminada,
         2009).  An argument is open when it is present, outside S and not
-        attacked by S, and, under adm and com, attacks S.  For the lowest open
-        ``b`` it branches on ``b`` and on each attacker of ``b``, wherever S
-        stays conflict-free (under adm and com, ``b`` never does).  With
-        nothing open, S is admissible, so it extends to a complete set, or
-        under stb S is stable: a yes is sound.  If some extension E holds
-        ``a``, each step can add a member of E (``b`` if it is in E, else an
-        attacker of ``b`` in E), so the search never leaves E and answers yes.
-        S can hold every present argument: the stack is explicit, and the
-        deadline is checked every ``_DEADLINE_STRIDE`` steps.
+        attacked by S, and, under adm and com, attacks S.  It picks an open
+        ``b``, one that attacks S if there is one, and branches on ``b`` and
+        on each attacker of ``b``, wherever S stays conflict-free (under adm
+        and com, ``b`` never does); the j-th branch never adds the first j-1
+        candidates, so no set is reached twice.  With nothing open, S is
+        admissible, so it extends to a complete set, or under stb S is
+        stable: a yes is sound.  If some extension E holds ``a``, each step
+        can add a member of E (``b`` if it is in E, else an attacker of
+        ``b`` in E; the first candidate in E excludes only non-members), so
+        the search never leaves E and answers yes.  S can hold every present
+        argument: the stack is explicit, and the deadline is checked every
+        ``_DEADLINE_STRIDE`` steps.
         """
         if not self.present & abit:
             return False
@@ -190,25 +193,26 @@ class _Scenario:
         if self.tgt_of[a] & abit:
             return False
         scope = self.present if sigma == "stb" else 0
-        stack, seen, steps = [(abit, self.tgt_of[a], self.att_of[a])], {abit}, 0
+        stack, steps = [(abit, self.tgt_of[a], self.att_of[a], 0)], 0
         while stack:
             steps += 1
             if deadline is not None and steps % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
                 raise BudgetExceeded("oracle enumeration ran out of time")
-            S, hit, att = stack.pop()
+            S, hit, att, out = stack.pop()
             open_ = (att | scope & ~S) & ~hit
             if not open_:
                 return True
-            low = open_ & -open_
-            m = self.att_of[low.bit_length() - 1] | low
+            pick = open_ & att or open_
+            low = pick & -pick
+            m = (self.att_of[low.bit_length() - 1] | low) & ~out
             while m:
                 c = m & -m
                 m ^= c
                 i = c.bit_length() - 1
                 T, h = S | c, hit | self.tgt_of[i]
-                if not h & T and T not in seen:
-                    seen.add(T)
-                    stack.append((T, h, att | self.att_of[i]))
+                if not h & T:
+                    stack.append((T, h, att | self.att_of[i], out))
+                out |= c
         return False
 
 

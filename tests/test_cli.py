@@ -257,6 +257,18 @@ def test_stable_acceptance_on_a_chain_answers_within_its_timeout(tmp_path):
     assert json.loads(proc.stdout)["answer"] == "1"
 
 
+def test_stable_acceptance_meets_an_undefended_attacker_first(tmp_path):
+    # za is attacked by an unattacked zb, so no stable extension holds za;
+    # a search that took the 22 certain 2-cycles p_i <-> q_i before zb
+    # would try a side of each, 2**22 ways, and run past --timeout
+    pairs = [(f"p{i:02d}", f"q{i:02d}") for i in range(22)]
+    attacks = pairs + [(q, p) for p, q in pairs] + [("zb", "za")]
+    names = [a for pair in pairs for a in pair] + ["za", "zb"]
+    proc = _stable_acceptance(tmp_path, AF(names, attacks), "za")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["answer"] == "0"
+
+
 def test_stable_acceptance_search_stops_at_its_timeout(tmp_path):
     # 22 certain 2-cycles x_i <-> y_i and a self-attacking zz: no stable
     # extension exists, and the search meets zz only after it picks a side
