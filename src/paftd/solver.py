@@ -1,13 +1,14 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
 Tables are computed bottom-up.  A table is a dict from a row's state
-``(present, und, ow, uw)``, four int bitmasks, to its mass ``p``.
-``present`` (the bag arguments in the scenario), ``und`` (those labeled
-undecided), ``ow`` and ``uw`` (those that have seen an in-labeled, resp. an
-undecided, attacker) hold one bit per argument in canonical order, so
+``(present, und, w)``, three int bitmasks, to its mass ``p``.  ``present``
+(the bag arguments in the scenario), ``und`` (those labeled undecided) and
+``w`` (the witnessed ones) hold one bit per argument in canonical order, so
 introducing or forgetting an argument never re-indexes a row.  No label is
 stored: a present member of S is in, any other present argument is
-undecided if it is in ``und`` and out otherwise.
+undecided if it is in ``und`` and out otherwise.  A bit of ``w`` means an
+in-labeled attacker of an out argument, or an undecided attacker of an
+undecided argument under com; no check reads any other, so none is set.
 
 Each attack is decided and charged at the forget of its first endpoint,
 while the other endpoint is still in the bag (the bags holding an argument
@@ -33,7 +34,7 @@ Per-element denominators rather than one common multiple keep the numbers
 small when many distinct primes occur.  The ``--trace`` dump forgets the
 bag in sorted order under the same rule: a row becomes one line per
 decision of the attacks between bag members, its ``p=`` the mass of every
-element below.
+element below, its ``lw=`` the out and then the undecided witnessed ones.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -41,11 +42,12 @@ neighbor of an in-labeled argument must be out.  This makes the surviving
 labeling unique per scenario, so the root row sums each scenario exactly
 once.  Every step keeps one row per state: an introduce makes distinct
 states, and a forget or a join adds the masses that meet on one state.  A
-table therefore has at most ``9**len(bag)`` rows: a bag argument outside S
-is absent, or present as out or undecided with four ``ow``/``uw`` choices.
-A member of S has one state, present with no witness bit: an attack onto it
-from an in-labeled or undecided argument is a conflict, and one from an out
-argument sets no bit.
+bag argument outside S is absent, out with ``w`` 0 or 1, or undecided with
+``w`` 0 or 1 under com, 0 under adm and never under stb.  A member of S is
+present with no witness bit: an attack onto it from an in-labeled or
+undecided argument is a conflict, and one from an out argument sets none.
+So a table has at most the product over its bag of 1 (a member of S) or
+5, 4, 3 (com, adm, stb) rows, within the loose ``9**len(bag)``.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
         # a leaf starts from the one empty row, any other node from its first child
-        rows, den = tables.pop(kids[0]) if kids else ({(0, 0, 0, 0): 1}, 1)
+        rows, den = tables.pop(kids[0]) if kids else ({(0, 0, 0): 1}, 1)
         if kind == INTRO:
             rows = _introduce(rows, a, ctx)
         elif kind == FORGET:
@@ -236,27 +238,26 @@ class _Context:
 
     def choices(self, a: str, present: int, und: int, decided):
         """The conflict-free decisions of the ``decided`` attacks in a row's
-        structure, as ``(attacks, ow, uw, factor)``: the present attacks, the
+        structure, as ``(attacks, w, factor)``: the present attacks, the
         witness bits they set, and the numerator of ``a``'s presence or
         absence times each attack's, or its denominator when an endpoint is
         absent.  An attack's absent choice comes first."""
         w_present, w_absent, _ = self.warg[a]
         ins = present & self.s_mask
         live = ins | und  # the arguments not labeled out
-        out = [(0, 0, 0, w_present if present & self.bit[a] else w_absent)]
+        com = self.sigma == "com"
+        out = [(0, 0, w_present if present & self.bit[a] else w_absent)]
         for r_bit, ends, x, y, (w_present, w_absent, d) in decided:
             if ends & ~present:
-                out = [(atts, ow, uw, f * d) for atts, ow, uw, f in out]
+                out = [(atts, w, f * d) for atts, w, f in out]
                 continue
-            absent = [(atts, ow, uw, f * w_absent) for atts, ow, uw, f in out if w_absent]
+            absent = [(atts, w, f * w_absent) for atts, w, f in out if w_absent]
             # conflict discipline: every neighbor of an in-label is out
             if ends & ins and not ends & ~live:
                 out = absent
                 continue
-            ow_bit, uw_bit = y if x & ins else 0, y if x & und else 0
-            out = absent + [
-                (atts | r_bit, ow | ow_bit, uw | uw_bit, f * w_present) for atts, ow, uw, f in out
-            ]
+            w_bit = y if x & ins or com and x & und and y & und else 0
+            out = absent + [(atts | r_bit, w | w_bit, f * w_present) for atts, w, f in out]
         return out
 
 
@@ -269,11 +270,11 @@ def _introduce(rows, a, ctx: _Context):
     keep_absent = ctx.warg[a][1] and not in_s
     und_choices = (0,) if in_s or ctx.sigma == "stb" else (0, bit)
     for key, p in rows.items():
-        present, und, ow, uw = key
+        present, und, w = key
         if keep_absent:
             out[key] = p
         for und_a in und_choices:
-            out[present | bit, und | und_a, ow, uw] = p
+            out[present | bit, und | und_a, w] = p
     return out
 
 
@@ -282,32 +283,29 @@ def _forget(rows, a, decided, ctx: _Context):
     options: dict[tuple, list] = {}
     bit = ctx.bit[a]
     keep = ~bit
-    needs_witness = not ctx.s_mask & bit  # an in-label needs none
+    outside_s = not ctx.s_mask & bit  # an in-label needs no witness
     com = ctx.sigma == "com"
-    for (present, und, ow, uw), p in rows.items():
+    for (present, und, w), p in rows.items():
         if (present, und) not in options:
             options[present, und] = ctx.choices(a, present, und, decided)
-        for _, ow_bits, uw_bits, factor in options[present, und]:
-            new_ow, new_uw = ow | ow_bits, uw | uw_bits
-            if needs_witness and present & bit:
-                if und & bit:
-                    if com and not new_uw & bit:
-                        continue
-                elif not new_ow & bit:
-                    continue
-            key = (present & keep, und & keep, new_ow & keep, new_uw & keep)
+        needs = outside_s and present & bit and (com or not und & bit)
+        for _, w_bits, factor in options[present, und]:
+            new_w = w | w_bits
+            if needs and not new_w & bit:
+                continue
+            key = (present & keep, und & keep, new_w & keep)
             merged[key] = merged.get(key, 0) + p * factor
     return merged
 
 
 def _join(left, right):
     by_structure: dict[tuple, list] = {}
-    for (present, und, ow, uw), p in right.items():
-        by_structure.setdefault((present, und), []).append((ow, uw, p))
+    for (present, und, w), p in right.items():
+        by_structure.setdefault((present, und), []).append((w, p))
     merged: dict[tuple, object] = {}
-    for (present, und, ow1, uw1), p1 in left.items():
-        for ow2, uw2, p2 in by_structure.get((present, und), ()):
-            key = (present, und, ow1 | ow2, uw1 | uw2)
+    for (present, und, w1), p1 in left.items():
+        for w2, p2 in by_structure.get((present, und), ()):
+            key = (present, und, w1 | w2)
             merged[key] = merged.get(key, 0) + p1 * p2
     return merged
 
@@ -334,27 +332,27 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
     bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
     decoded = []
-    for (present, und, ow, uw), p in rows.items():
-        expanded = [(0, ow, uw, p)]
+    for (present, und, w), p in rows.items():
+        expanded = [(0, w, p)]
         for a, decided in steps:
             options = ctx.choices(a, present, und, decided)
             expanded = [
-                (atts | more, ow | ow_bits, uw | uw_bits, p * factor)
-                for atts, ow, uw, p in expanded
-                for more, ow_bits, uw_bits, factor in options
+                (atts | more, w | w_bits, p * factor)
+                for atts, w, p in expanded
+                for more, w_bits, factor in options
             ]
         args = names(present)
         labels = [IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT for x in args]
-        for atts, ow, uw, p in expanded:
+        for atts, w, p in expanded:
             att_list = [att for r_bit, att in bag_attacks if atts & r_bit]
             # the labels sort as (argument, label) pairs: out before undecided
-            decoded.append(((args, att_list, tuple(zip(args, labels)), names(ow), names(uw)), p))
+            decoded.append(((args, att_list, tuple(zip(args, labels)), names(w & ~und), names(w & und)), p))
     lines = []
-    for (args, att_list, lab, ow, uw), p in sorted(decoded, key=lambda d: d[0]):
+    for (args, att_list, lab, w_out, w_und), p in sorted(decoded, key=lambda d: d[0]):
         ins, outs, unds = (",".join(x for x, l in lab if l == want) for want in (IN, OUT, UND))
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(
             f"node={node_id} F=({','.join(args)};{attstr}) L=({ins};{outs};{unds}) "
-            f"lw=({','.join(ow)};{','.join(uw)}) p={_format_value(answer(p, den))}"
+            f"lw=({','.join(w_out)};{','.join(w_und)}) p={_format_value(answer(p, den))}"
         )
     return lines

@@ -1,8 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -292,6 +294,17 @@ def test_given_td_takes_no_heuristic_or_order(cycle5, extra):
         solve(cycle5, "com", {"a", "c", "e"}, td=decompose(cycle5.af), **extra)
 
 
+def test_trace_lists_only_the_witnesses_a_check_reads():
+    # b is out with an in-labeled attacker a and an undecided attacker c: only
+    # a is b's witness, and an undecided attacker is read only on an undecided
+    # argument under com, here c's own attack
+    paf = PAF.certain(AF(["a", "b", "c"], [("a", "b"), ("c", "b"), ("c", "c")]))
+    com = solve(paf, "com", {"a"}, trace=True).trace
+    assert "node=4 F=(b,c;c>b,c>c) L=(;b;c) lw=(b;c) p=1" in com
+    for line in solve(paf, "adm", {"a"}, trace=True).trace:
+        assert re.search(r" lw=\([^;]*;\) ", line), line
+
+
 def test_root_table_is_bag_local_empty(cycle5):
     res = solve(cycle5, "com", {"a", "c", "e"}, trace=True)
     root_rows = [l for l in res.trace if l.startswith(f"node={max(res.node_stats)} ")]
@@ -309,10 +322,26 @@ def _star(leaves: int) -> PAF:
 
 
 def test_node_stats_respect_theoretic_bound(cycle5):
-    # one row per (present, und, ow, uw) state: 9 per bag argument outside S
-    for paf, S in ((cycle5, {"a", "c", "e"}), (_star(12), set())):
-        for stats in solve(paf, "com", S).node_stats.values():
-            assert stats.rows <= 9**stats.bag_size
+    # one row per (present, und, w) state: a bag argument outside S is absent,
+    # out with w 0 or 1, or undecided with w 0 or 1 under com (0 only under
+    # adm, never under stb), and a member of S is present with no bit; 9 per
+    # argument is the loose bound
+    spec = GridSpec(4, 30, 2)
+    grid, query = generate_grid(spec)
+    cases = [
+        (cycle5, {"a", "c", "e"}, make_nice(decompose(cycle5.af))),
+        (_star(12), set(), make_nice(decompose(_star(12).af))),
+        (grid, query, make_nice(decompose(grid.af, order=grid_elimination_order(spec)))),
+    ]
+    rnd = random.Random(45)
+    for _ in range(100):
+        paf = random_paf(rnd)
+        cases.append((paf, random_subset(rnd, paf), make_nice(decompose(paf.af))))
+    for paf, S, td in cases:
+        for sigma, states in (("com", 5), ("adm", 4), ("stb", 3)):
+            for t, stats in solve(paf, sigma, S, td=td).node_stats.items():
+                assert stats.rows <= 9**stats.bag_size
+                assert stats.rows <= prod(1 if x in S else states for x in td.bags[t]), (sigma, t)
     star = _star(10)
     assert solve(star, "com", set()).value == p_ext_oracle(star, "com", set())
 
