@@ -38,10 +38,10 @@ def is_valid_arg_name(name: str) -> bool:
 
 
 def as_probability(value) -> Fraction:
-    """Coerce a probability given as Fraction, int, Decimal or decimal string.
-
-    Binary floats are rejected: they would silently smuggle rounding error
-    into the exact arithmetic mode.
+    """Coerce a probability in (0, 1] given as Fraction, int, Decimal or a
+    decimal or ``p/q`` string; library and file input share this one check.
+    Zero is rejected (drop the element instead), and so are binary floats:
+    they would silently smuggle rounding error into the exact arithmetic mode.
     """
     if isinstance(value, float):
         raise InputError(
@@ -50,12 +50,14 @@ def as_probability(value) -> Fraction:
     if isinstance(value, (Fraction, int, str, Decimal)):
         try:
             p = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"invalid probability {value!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"invalid probability {value!r}") from None
     else:
         raise InputError(f"invalid probability {value!r}")
-    if not 0 <= p <= 1:
-        raise InputError(f"probability {value!r} outside [0, 1]")
+    if p == 0:
+        raise InputError("zero-probability element; remove it from the instance")
+    if not 0 < p <= 1:
+        raise InputError(f"probability {value!r} outside (0, 1]")
     return p
 
 
@@ -214,11 +216,6 @@ class PAF:
             raise InputError("argument probabilities do not cover the arguments")
         if set(att_prob) != set(af.attacks):
             raise InputError("attack probabilities do not cover the attacks")
-        for key, p in list(arg_prob.items()) + list(att_prob.items()):
-            if p == 0:
-                raise InputError(
-                    f"zero-probability element {key!r}; remove it from the instance"
-                )
         self.af = af
         self.arg_prob = arg_prob
         self.att_prob = att_prob

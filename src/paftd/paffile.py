@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AF, PAF, is_valid_arg_name
+from .core import AF, PAF, as_probability, is_valid_arg_name
 from .errors import InputError
 
 
@@ -33,16 +33,9 @@ class PafDocument:
 
 def _parse_probability(token: str, lineno: int) -> Fraction:
     try:
-        p = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise PafFormatError(f"invalid probability {token!r}", lineno) from None
-    if p == 0:
-        raise PafFormatError(
-            "zero-probability element; remove it from the instance", lineno
-        )
-    if not 0 < p <= 1:
-        raise PafFormatError(f"probability {token!r} outside (0, 1]", lineno)
-    return p
+        return as_probability(token)
+    except InputError as exc:
+        raise PafFormatError(str(exc), lineno) from None
 
 
 def parse_paf(text: str) -> PafDocument:

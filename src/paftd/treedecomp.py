@@ -239,8 +239,10 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
     adj = _undirected_adjacency(af)
     if heuristic == "min-degree":
         score = lambda v: len(adj[v])
-    else:  # each missing pair among v's neighbors is counted from both ends
-        score = lambda v: sum(len(adj[v] - adj[u]) - 1 for u in adj[v]) // 2
+    else:  # d(d-1) ordered pairs among v's d neighbors, less the adjacent ones (seen from both ends)
+        def score(v):
+            nbs = adj[v]
+            return (len(nbs) * (len(nbs) - 1) - sum(len(nbs & adj[u]) for u in nbs)) // 2
     scores = {v: score(v) for v in adj}
     out = []
     while scores:
@@ -257,9 +259,9 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
 
 def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> TreeDecomposition:
     """Tree-decomposition via elimination ordering and bag-tree assembly."""
-    if not af.arguments:
-        return TreeDecomposition({0: frozenset()}, {0: ()}, 0)
     order = elimination_order(af, heuristic, order, rng)
+    if not order:
+        return TreeDecomposition({0: frozenset()}, {0: ()}, 0)
 
     adj = _undirected_adjacency(af)
     position = {v: i for i, v in enumerate(order)}

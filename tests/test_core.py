@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -86,10 +87,36 @@ def test_as_probability_rejects_floats_and_out_of_range():
     assert as_probability(Fraction(1, 3)) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("value", [0, "0", "0.0", Fraction(0), Decimal("0")], ids=repr)
+def test_as_probability_rejects_zero(value):
+    with pytest.raises(InputError, match=r"^zero-probability element; remove it from the instance$"):
+        as_probability(value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (2, "probability 2 outside (0, 1]"),
+        (Fraction(-1, 2), "probability Fraction(-1, 2) outside (0, 1]"),
+        ("abc", "invalid probability 'abc'"),
+        ("1/0", "invalid probability '1/0'"),
+        (None, "invalid probability None"),
+        (0.5, "refusing float probability 0.5; pass a string or Fraction"),
+    ],
+    ids=["above-one", "negative", "unparsable", "zero-denominator", "none", "float"],
+)
+def test_as_probability_messages(value, message):
+    with pytest.raises(InputError) as info:
+        as_probability(value)
+    assert str(info.value) == message
+
+
 def test_paf_rejects_zero_probability_and_bad_coverage():
     af = AF(["a"])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="zero-probability element"):
         PAF(af, {"a": 0}, {})
+    with pytest.raises(InputError, match="zero-probability element"):
+        PAF(AF(["a", "b"], [("a", "b")]), {"a": 1, "b": 1}, {("a", "b"): Fraction(0)})
     with pytest.raises(InputError):
         PAF(af, {}, {})
 

@@ -68,6 +68,47 @@ def test_out_of_range_probability_rejected():
         parse_paf("arg a 1.5\n")
 
 
+ZERO = "zero-probability element; remove it from the instance"
+
+# each token, and the value it parses to or the exact error text after "line N: "
+PROBABILITY_TOKENS = [
+    ("1e-1", Fraction(1, 10)),
+    ("+0.5", Fraction(1, 2)),
+    (".5", Fraction(1, 2)),
+    ("0.", ZERO),
+    ("1/3", Fraction(1, 3)),
+    ("0.0", ZERO),
+    ("1.5", "probability '1.5' outside (0, 1]"),
+    ("abc", "invalid probability 'abc'"),
+    ("-0.5", "probability '-0.5' outside (0, 1]"),
+    ("1/0", "invalid probability '1/0'"),
+    ("nan", "invalid probability 'nan'"),
+    ("inf", "invalid probability 'inf'"),
+    ("0/1", ZERO),
+    ("3/2", "probability '3/2' outside (0, 1]"),
+    ("1", Fraction(1)),
+    ("0", ZERO),
+]
+
+
+@pytest.mark.parametrize("token, want", PROBABILITY_TOKENS, ids=[t for t, _ in PROBABILITY_TOKENS])
+@pytest.mark.parametrize(
+    "lineno, template",
+    [(1, "arg a {}\n"), (3, "arg a 1\narg b 1\natt a b {}\n")],
+    ids=["arg", "att"],
+)
+def test_probability_token(token, want, lineno, template):
+    text = template.format(token)
+    if isinstance(want, Fraction):
+        paf = parse_paf(text).paf
+        assert (paf.att_prob[("a", "b")] if lineno == 3 else paf.arg_prob["a"]) == want
+        return
+    with pytest.raises(PafFormatError) as info:
+        parse_paf(text)
+    assert str(info.value) == f"line {lineno}: {want}"
+    assert info.value.lineno == lineno
+
+
 def test_rational_literals_accepted():
     doc = parse_paf("arg a 1/3\n")
     assert doc.paf.arg_prob["a"] == Fraction(1, 3)

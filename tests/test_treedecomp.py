@@ -154,6 +154,15 @@ def test_empty_af():
     assert td.validate(af) == []
     nice = make_nice(td)
     assert nice.validate(af) == []
+    for td in (decompose(af), decompose(af, order=[])):
+        assert td.bags == {0: frozenset()} and td.root == 0
+    # the inputs are checked before the one empty bag is returned
+    with pytest.raises(InputError, match="unknown heuristic"):
+        decompose(af, heuristic="nope")
+    with pytest.raises(InputError, match="not a permutation"):
+        decompose(af, order=["zz"])
+    with pytest.raises(InputError, match="a given order takes no heuristic and no rng"):
+        decompose(af, order=[], rng=np.random.default_rng(0))
 
 
 def test_serialize_round_trip():
