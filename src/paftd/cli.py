@@ -50,10 +50,9 @@ def _decimal15(value: Fraction) -> str:
     return str(ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)))
 
 
-def _answer_fields(value, mode: str) -> dict:
-    if mode == "rational":
-        return {"answer": exact_text(value), "answerDecimal": _decimal15(value)}
-    return {"answer": repr(float(value)), "answerDecimal": repr(float(value))}
+def _answer_fields(value: Fraction, mode: str) -> dict:
+    text = solver.answer_text(solver.rounded(value, mode))
+    return {"answer": text, "answerDecimal": _decimal15(value) if mode == "rational" else text}
 
 
 def _parse_list(text: str) -> list[str]:
@@ -82,11 +81,8 @@ def _cmd_solve(args) -> int:
     doc = paffile.parse_paf(_read(args.input))
     paf = doc.paf
     sigma = _semantics(args.semantics, solver.DP_SEMANTICS)
-    if args.set is not None:
-        S = args.set
-    elif doc.query_set is not None:
-        S = doc.query_set
-    else:
+    S = args.set if args.set is not None else doc.query_set
+    if S is None:
         raise InputError("no query set: pass --set or add a set line to the file")
 
     td = treedecomp.parse_td(_read(args.td_file)) if args.td_file else None
@@ -109,7 +105,8 @@ def _cmd_solve(args) -> int:
         )
         return solved[0].exact
 
-    value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on", td=td)
+    # a TD describes the unreduced instance, so a fixed one turns preprocessing off
+    value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on" and td is None)
     result = solved[0] if solved else None
     record = {
         **_answer_fields(value, args.mode),

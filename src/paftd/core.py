@@ -30,6 +30,13 @@ _NAME_RE = re.compile(r"^(?!#)[^\s,]+$")
 # enumeration guards; subset enumeration is exponential in |A|
 MAX_ENUM_ARGUMENTS = 20
 
+# a probability string on every Python version: a decimal or p/q, with no
+# digit separators or inner whitespace (``Fraction`` alone varies with it)
+_PROBABILITY_RE = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:e[+-]?(?P<exp>\d+))?)\s*", re.I)
+# Python's default bound on an int literal's digits, so that the exponent k
+# of 1e-k is bounded as the k decimals of 0.00...1 are
+MAX_EXPONENT = 4300
+
 
 def is_valid_arg_name(name: str) -> bool:
     """Argument names are non-empty tokens without whitespace or commas and
@@ -44,16 +51,21 @@ def as_probability(value) -> Fraction:
     they would silently smuggle rounding error into the exact arithmetic mode.
     """
     if isinstance(value, float):
-        raise InputError(
-            f"refusing float probability {value!r}; pass a string or Fraction"
-        )
-    if isinstance(value, (Fraction, int, str, Decimal)):
-        try:
-            p = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"invalid probability {value!r}") from None
-    else:
-        raise InputError(f"invalid probability {value!r}")
+        raise InputError(f"refusing float probability {value!r}; pass a string or Fraction")
+    try:
+        if isinstance(value, str):
+            m = _PROBABILITY_RE.fullmatch(value)
+            # int() itself rejects an exponent of more digits than the bound
+            if m is None or int(m["exp"] or 0) > MAX_EXPONENT:
+                raise ValueError
+        elif isinstance(value, Decimal):
+            if not value.is_finite() or abs(value.as_tuple().exponent) > MAX_EXPONENT:
+                raise ValueError
+        elif not isinstance(value, (Fraction, int)):
+            raise ValueError
+        p = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"invalid probability {value!r}") from None
     if p == 0:
         raise InputError("zero-probability element; remove it from the instance")
     if not 0 < p <= 1:

@@ -98,19 +98,18 @@ def simplify_for_acc(paf: PAF, a: str) -> bool:
     return a in forced_labeling(paf).forced_out
 
 
-def query_ext(paf: PAF, sigma: str, S, engine, enabled: bool = True, td=None):
+def query_ext(paf: PAF, sigma: str, S, engine, enabled: bool = True):
     """Answer a P-Ext query exactly, simplifying it first where that is sound.
 
     ``engine(instance)`` returns the exact probability that S is a
     sigma-extension of ``instance``.  Preprocessing runs only when
-    ``enabled``, for the complete semantics, and when no ``td`` is given (a
-    TD describes the unreduced graph).  A zero outcome is answered without
-    the engine; otherwise the engine's value is scaled by the reduction's
-    multiplier.  Rounding the exact answer is the caller's.
+    ``enabled`` and for the complete semantics.  A zero outcome is answered
+    without the engine; otherwise the engine's value is scaled by the
+    reduction's multiplier.  Rounding the exact answer is the caller's.
 
     Returns ``(value, status)`` with status ``"off"``, ``"on"`` or ``"zero"``.
     """
-    if not enabled or sigma != "com" or td is not None:
+    if not enabled or sigma != "com":
         return engine(paf), "off"
     reduction = simplify_for_ext(paf, S)
     if reduction.zero:

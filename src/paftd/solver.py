@@ -52,7 +52,6 @@ So a table has at most the product over its bag of 1 (a member of S) or
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,45 +88,40 @@ class NodeStats:
 @dataclass
 class SolveResult:
     exact: Fraction
-    mode: str
+    value: Fraction | float  # the answer in the solve's mode
     width: int
     node_count: int
     node_stats: dict[int, NodeStats]
     trace: list[str] | None = None
 
-    @property
-    def value(self) -> Fraction | float:
-        """The answer in the result's mode: exact, or the exact answer rounded once."""
-        return float(self.exact) if self.mode == "float" else self.exact
-
     def max_table_rows(self) -> int:
         return max(s.rows for s in self.node_stats.values())
 
 
-def _converter(mode: str):
-    """The map from a mass and its denominator to a value of the mode: the
-    rounding of ``p_ext``'s answer and of each ``--trace`` mass."""
+def rounded(exact: Fraction, mode: str) -> Fraction | float:
+    """The exact answer in ``mode``: itself, or in float mode rounded once."""
     if mode == "float":
-        return operator.truediv
-    if mode == "rational":
-        return Fraction
-    raise InputError(f"unknown arithmetic mode {mode!r}")
+        return float(exact)
+    if mode != "rational":
+        raise InputError(f"unknown arithmetic mode {mode!r}")
+    return exact
 
 
-def p_ext(paf: PAF, sigma: str, S, mode: str = "rational", td=None):
+def answer_text(value: Fraction | float) -> str:
+    """An answer as ``paftd`` prints it: ``repr`` of a float, else exact."""
+    return repr(value) if isinstance(value, float) else exact_text(value)
+
+
+def p_ext(paf: PAF, sigma: str, S, mode: str = "rational"):
     """Probability that S is a sigma-extension: exact, or in float ``mode``
     the exact answer rounded once.
 
     Applies the forced-label preprocessing of ``paftd solve`` (complete
-    semantics, no ``td`` given) before the DP; :func:`solve` is the raw DP.
+    semantics) before the DP; :func:`solve` is the raw DP, and the one that
+    takes a fixed decomposition.
     """
-    answer = _converter(mode)  # rejects an unknown mode even when preprocessing alone answers
-
-    def engine(instance):
-        return solve(instance, sigma, S, mode=mode, td=td).exact
-
-    value = query_ext(paf, sigma, S, engine, td=td)[0]
-    return answer(value.numerator, value.denominator)
+    value, _ = query_ext(paf, sigma, S, lambda instance: solve(instance, sigma, S, mode=mode).exact)
+    return rounded(value, mode)
 
 
 def solve(
@@ -153,7 +147,7 @@ def solve(
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
     S = paf.af.check_subset(S)
-    answer = _converter(mode)
+    rounded(0, mode)  # rejects an unknown mode before the DP runs
 
     if td is None:
         td = make_nice(decompose(paf.af, heuristic=heuristic))
@@ -188,17 +182,11 @@ def solve(
         tables[t] = rows, den
         stats[t] = NodeStats(kind, len(bag), len(rows))
         if trace_lines is not None:
-            trace_lines.extend(_dump(t, rows, den, bag, ctx, answer))
+            trace_lines.extend(_dump(t, rows, den, bag, ctx, mode))
 
     rows, den = tables[td.root]
-    return SolveResult(
-        Fraction(sum(rows.values()), den),
-        mode,
-        td.width(),
-        td.node_count(),
-        stats,
-        trace_lines,
-    )
+    exact = Fraction(sum(rows.values()), den)
+    return SolveResult(exact, rounded(exact, mode), td.width(), td.node_count(), stats, trace_lines)
 
 
 def _weights(p: Fraction):
@@ -310,11 +298,7 @@ def _join(left, right):
     return merged
 
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else exact_text(value)
-
-
-def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
+def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
     order = sorted(bag)
 
     def names(mask):
@@ -353,6 +337,6 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, answer) -> list[str]:
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(
             f"node={node_id} F=({','.join(args)};{attstr}) L=({ins};{outs};{unds}) "
-            f"lw=({','.join(w_out)};{','.join(w_und)}) p={_format_value(answer(p, den))}"
+            f"lw=({','.join(w_out)};{','.join(w_und)}) p={answer_text(rounded(Fraction(p, den), mode))}"
         )
     return lines

@@ -98,7 +98,7 @@ class TreeDecomposition:
 class NiceTreeDecomposition(TreeDecomposition):
     """A tree-decomposition with typed nodes: ``kind[t]`` is leaf, intro,
     forget or join, and ``arg[t]`` the argument an introduce or forget node
-    adds or drops (unused at other nodes)."""
+    adds or drops (unused at other nodes, but present: every bag has both)."""
 
     kind: dict[int, str]
     arg: dict[int, str | None]
@@ -108,9 +108,16 @@ class NiceTreeDecomposition(TreeDecomposition):
 
     def _validate_shape(self) -> list[str]:
         v = []
-        if self.bags[self.root]:
+        if self.root not in self.bags:
+            v.append(f"root {self.root} is not a bag")
+        elif self.bags[self.root]:
             v.append("root bag is not empty")
         for t, kind in self.kind.items():
+            unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
+            if unread:
+                v.append(f"node {t} has no {'/'.join(unread)} entry")
+                continue
+            # a child that is no bag fails the tree check; here it reads as empty
             bag, kids, a = self.bags[t], self.children[t], self.arg[t]
             if kind == LEAF:
                 if kids:
@@ -121,26 +128,26 @@ class NiceTreeDecomposition(TreeDecomposition):
                 if len(kids) != 1:
                     v.append(f"introduce node {t} must have one child")
                     continue
-                child = self.bags[kids[0]]
+                child = self.bags.get(kids[0], frozenset())
                 if a is None or a in child or bag != child | {a}:
                     v.append(f"introduce node {t} does not add exactly {a!r}")
             elif kind == FORGET:
                 if len(kids) != 1:
                     v.append(f"forget node {t} must have one child")
                     continue
-                child = self.bags[kids[0]]
+                child = self.bags.get(kids[0], frozenset())
                 if a is None or a not in child or bag != child - {a}:
                     v.append(f"forget node {t} does not drop exactly {a!r}")
             elif kind == JOIN:
                 if len(kids) != 2:
                     v.append(f"join node {t} must have two children")
                     continue
-                b1, b2 = (self.bags[c] for c in kids)
+                b1, b2 = (self.bags.get(c, frozenset()) for c in kids)
                 if not bag == b1 == b2:
                     v.append(f"join node {t} bags differ")
             else:
                 v.append(f"node {t} has unknown kind {kind!r}")
-        return v
+        return v + [f"node {t} has no type" for t in self.bags if t not in self.kind]
 
 
 def parse_td(text: str):

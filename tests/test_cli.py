@@ -201,6 +201,23 @@ def test_input_errors_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", CYCLE5, "--semantics", "grounded"], "unsupported semantics 'grounded'"),
+        (["solve", CHAIN5], "no query set: pass --set or add a set line to the file"),
+        (["oracle", CHAIN5], "no query: pass --ext/--acc/--count-ext/--count-acc"),
+        (["generate", "--grid", "3by5", "--seed", "1"], "invalid grid spec '3by5'; expected KxN"),
+    ],
+    ids=["semantics", "no-set", "no-query", "grid-spec"],
+)
+def test_input_errors_print_their_message(argv, message, capsys):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "{bad}", "--set", "a"],

@@ -1,4 +1,5 @@
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from paftd import (
     AF,
     PAF,
+    CapacityError,
     InputError,
     Subframework,
     defends,
@@ -109,6 +111,49 @@ def test_as_probability_messages(value, message):
     with pytest.raises(InputError) as info:
         as_probability(value)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("Infinity"), Decimal("-Infinity"), "1 / 3", "1e-10000000", Decimal("1e-10000000"), "1e+4301"],
+    ids=repr,
+)
+def test_as_probability_rejects_what_it_cannot_bound(value):
+    with pytest.raises(InputError) as info:
+        as_probability(value)
+    assert str(info.value) == f"invalid probability {value!r}"
+
+
+def test_surrounding_whitespace_is_accepted():
+    assert as_probability(" 0.5\t") == Fraction(1, 2)
+
+
+def test_both_spellings_of_a_small_probability_meet_one_bound():
+    # an exponent is bounded by Python's digit limit on an int literal, so
+    # 1e-k and 0.00...1 (k decimals) are accepted or rejected together
+    for k, accepted in ((4300, True), (4301, False)):
+        for text in (f"1e-{k}", "0." + "0" * (k - 1) + "1"):
+            if accepted:
+                assert as_probability(text) == Fraction(1, 10**k)
+            else:
+                with pytest.raises(InputError, match="^invalid probability"):
+                    as_probability(text)
+
+
+def test_a_long_decimal_exponent_is_rejected_quickly():
+    started = time.monotonic()
+    with pytest.raises(InputError, match="^invalid probability"):
+        PAF(AF(["a"]), {"a": Decimal("1e-10000000")}, {})
+    assert time.monotonic() - started < 1
+
+
+def test_extensions_rejects_unknown_semantics_and_large_frameworks():
+    with pytest.raises(InputError) as info:
+        extensions(simple_af(), "prf")
+    assert str(info.value) == "unknown semantics 'prf'"
+    with pytest.raises(CapacityError) as info:
+        extensions(AF([f"x{i:02d}" for i in range(21)]), "com")
+    assert str(info.value) == "extension enumeration capped at 20 arguments"
 
 
 def test_paf_rejects_zero_probability_and_bad_coverage():

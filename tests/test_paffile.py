@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,11 @@ PROBABILITY_TOKENS = [
     ("3/2", "probability '3/2' outside (0, 1]"),
     ("1", Fraction(1)),
     ("0", ZERO),
+    ("0.1_0", "invalid probability '0.1_0'"),
+    ("0.0_5", "invalid probability '0.0_5'"),
+    ("1/1_0", "invalid probability '1/1_0'"),
+    ("1_0", "invalid probability '1_0'"),
+    ("1e-300", Fraction(1, 10**300)),
 ]
 
 
@@ -107,6 +113,43 @@ def test_probability_token(token, want, lineno, template):
         parse_paf(text)
     assert str(info.value) == f"line {lineno}: {want}"
     assert info.value.lineno == lineno
+
+
+def test_a_long_exponent_is_rejected_quickly():
+    started = time.monotonic()
+    with pytest.raises(PafFormatError) as info:
+        parse_paf("arg a 1e-10000000\n")
+    assert str(info.value) == "line 1: invalid probability '1e-10000000'"
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("arg a\n", "line 1: expected: arg <name> <prob>"),
+        ("arg a 1\natt a a\n", "line 2: expected: att <src> <dst> <prob>"),
+        ("arg a 1\nquery\n", "line 2: expected: query <name>"),
+        ("arg #a 1\n", "line 1: invalid argument name '#a'"),
+        ("arg a 1\nset a\nset\n", "line 3: duplicate set line"),
+        ("arg a 1\nquery a\nquery a\n", "line 3: duplicate query line"),
+        ("arg a 1\nset a b\n", "line 2: undeclared set member 'b'"),
+        ("arg a 1\nquery b\n", "line 2: undeclared query argument 'b'"),
+    ],
+    ids=[
+        "arg-fields",
+        "att-fields",
+        "query-fields",
+        "argument-name",
+        "second-set",
+        "second-query",
+        "set-member",
+        "query-argument",
+    ],
+)
+def test_malformed_line_messages(text, message):
+    with pytest.raises(PafFormatError) as info:
+        parse_paf(text)
+    assert str(info.value) == message
 
 
 def test_rational_literals_accepted():

@@ -71,7 +71,7 @@ def test_library_p_ext_preprocesses_unless_given_a_td(chain5):
     assert expected == Fraction(3, 8)
     assert p_ext(chain5, "com", S) == expected
     # the TD covers the unreduced graph, so a reduced instance would not match it
-    assert p_ext(chain5, "com", S, td=td) == expected
+    assert solver.solve(chain5, "com", S, td=td).value == expected
     assert p_ext(chain5, "com", {"b"}) == 0
     with pytest.raises(InputError):
         p_ext(chain5, "com", {"b"}, mode="decimal")  # rejected though preprocessing alone answers

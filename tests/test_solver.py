@@ -209,7 +209,6 @@ def test_supplied_td_is_validated(cycle5):
     # a plain decomposition is validated, then made nice
     plain = decompose(cycle5.af)
     assert solve(cycle5, "com", {"a", "c", "e"}, td=plain).value == Fraction(18, 25)
-    assert p_ext(cycle5, "com", {"a", "c", "e"}, td=plain) == Fraction(18, 25)
     with pytest.raises(InputError, match="argument a appears in no bag"):
         solve(cycle5, "com", {"a"}, td=decompose(AF(["b", "c", "d", "e"])))
 
@@ -354,3 +353,12 @@ def test_deadline_is_enforced(cycle5):
 def test_unsupported_semantics_rejected(cycle5):
     with pytest.raises(InputError):
         solve(cycle5, "grd", {"a"})
+
+
+def test_unknown_mode_is_rejected_before_the_dp_runs(cycle5, monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(solver, "_introduce", no_dp)
+    with pytest.raises(InputError, match="^unknown arithmetic mode 'decimal'$"):
+        solve(cycle5, "com", {"a", "c", "e"}, mode="decimal")

@@ -20,6 +20,7 @@ from paftd import (
     make_nice,
     parse_paf,
     parse_td,
+    solve,
 )
 from paftd.cli import run
 from paftd.treedecomp import HEURISTICS
@@ -310,6 +311,7 @@ def test_parse_td_rejects_multiple_roots():
         ("bag 0\ntype 0 join:a\n", "'join:a'"),
         ("bag 0\ntype 0 leaf\ntype 0 join\n", "line 3: duplicate type for node 0"),
         ("bag 0 a\nbag 1\nedge 1 0 junk 5\n", "line 3: malformed TD line 'edge 1 0 junk 5'"),
+        ("bag 0\nbag 1\nedge 0 1\ntype 0 leaf\n", "^nice TD is missing a type for node 1$"),
         (
             "bag 0\nbag 1 a\nbag 2\nedge 1 0\nedge 2 1\n"
             "type 0 leaf\ntype 1 intro:a junk\ntype 2 forget:a\n",
@@ -322,6 +324,7 @@ def test_parse_td_rejects_multiple_roots():
         "join-with-argument",
         "repeated-type",
         "edge-trailing-tokens",
+        "missing-type",
         "type-trailing-tokens",
     ],
 )
@@ -339,3 +342,64 @@ def test_unknown_node_kind_is_a_violation():
     # parse_td rejects an unknown type, so only the constructor can build one
     td = NiceTreeDecomposition({0: frozenset()}, {0: ()}, 0, {0: "bogus"}, {0: None})
     assert td.validate(AF([])) == ["node 0 has unknown kind 'bogus'"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bag 0 a\nbag 0 b\n", "line 2: duplicate bag 0"),
+        ("bag 0\nnode 1\n", "line 2: unknown directive 'node'"),
+        ("# only a comment\n", "TD file declares no bags"),
+        ("bag 0\nedge 0 1\n", "edge (0,1) references an undeclared bag"),
+    ],
+    ids=["duplicate-bag", "unknown-directive", "no-bags", "undeclared-edge-end"],
+)
+def test_parse_td_messages(text, message):
+    with pytest.raises(InputError) as info:
+        parse_td(text)
+    assert str(info.value) == message
+
+
+def test_validator_names_a_bag_element_that_is_not_an_argument():
+    td = TreeDecomposition({0: frozenset({"x0", "x1", "x2", "zz"})}, {0: ()}, 0)
+    assert td.validate(chain_af(3)) == ["bag element zz is not an argument"]
+
+
+# forget a, introduce a, leaf: each case breaks one of the dicts the shape
+# rules read, which a library caller can build but parse_td cannot
+NICE_A = {
+    "bags": {0: frozenset(), 1: frozenset({"a"}), 2: frozenset()},
+    "children": {0: (1,), 1: (2,), 2: ()},
+    "root": 0,
+    "kind": {0: "forget", 1: "intro", 2: "leaf"},
+    "arg": {0: "a", 1: "a", 2: None},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, violations",
+    [
+        ("root", 7, ["tree is not connected or has unreachable nodes", "root 7 is not a bag"]),
+        ("children", {0: (1,), 1: (2,)}, ["node 2 has no children entry"]),
+        ("arg", {0: "a", 2: None}, ["node 1 has no arg entry"]),
+        ("kind", {0: "forget", 1: "intro"}, ["node 2 has no type"]),
+        ("kind", {0: "forget", 1: "intro", 2: "leaf", 5: "leaf"}, ["node 5 has no bags/children/arg entry"]),
+        ("children", {0: (1,), 1: (9,), 2: ()}, ["tree is not connected or has unreachable nodes"]),
+    ],
+    ids=[
+        "root-not-a-bag",
+        "no-children-entry",
+        "intro-without-arg",
+        "bag-without-type",
+        "type-without-bag",
+        "child-not-a-bag",
+    ],
+)
+def test_a_malformed_nice_td_is_an_input_error(field, value, violations):
+    paf = parse_paf("arg a 1\n").paf
+    td = NiceTreeDecomposition(**{**NICE_A, field: value})
+    assert td.validate(paf.af) == violations
+    with pytest.raises(InputError) as info:
+        solve(paf, "com", {"a"}, td=td)
+    assert str(info.value) == "invalid tree-decomposition: " + "; ".join(violations)
+    assert solve(paf, "com", {"a"}, td=NiceTreeDecomposition(**NICE_A)).value == 1
