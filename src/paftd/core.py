@@ -32,7 +32,7 @@ MAX_ENUM_ARGUMENTS = 20
 
 # a probability string on every Python version: a decimal or p/q, with no
 # digit separators or inner whitespace (``Fraction`` alone varies with it)
-_PROBABILITY_RE = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:e[+-]?(?P<exp>\d+))?)\s*", re.I)
+_PROBABILITY_RE = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:e[+-]?(?P<exp>\d+))?)\s*", re.I | re.ASCII)
 # Python's default bound on an int literal's digits, so that the exponent k
 # of 1e-k is bounded as the k decimals of 0.00...1 are
 MAX_EXPONENT = 4300

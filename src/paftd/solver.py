@@ -1,7 +1,8 @@
 """Dynamic programming over nice tree-decompositions for P-Ext.
 
-Tables are computed bottom-up.  A table is a dict from a row's state
-``(present, und, w)``, three int bitmasks, to its mass ``p``.  ``present``
+Tables are computed bottom-up.  A row is a state ``(present, und, w)`` of
+three int bitmasks with a mass ``p``; a table groups its rows by structure,
+``{(present, und): {w: p}}``, and stores no empty group.  ``present``
 (the bag arguments in the scenario), ``und`` (those labeled undecided) and
 ``w`` (the witnessed ones) hold one bit per argument in canonical order, so
 introducing or forgetting an argument never re-indexes a row.  No label is
@@ -17,7 +18,7 @@ are connected), where an "introduce edge" node would sit (Cygan et al.,
 absent endpoint is absent, a certain one present, an uncertain one either;
 a present attack sets its target's witness bit, and a certain attack that
 makes a row conflicting removes the row.  An introduce only adds ``a``
-absent or present with its label; a join matches on ``(present, und)``.
+absent or present with its label; a join pairs the groups of one structure.
 
 ``p`` is the mass of all compatible completions below the node, over the
 elements already forgotten: an int numerator over its table's one int
@@ -35,6 +36,7 @@ small when many distinct primes occur.  The ``--trace`` dump forgets the
 bag in sorted order under the same rule: a row becomes one line per
 decision of the attacks between bag members, its ``p=`` the mass of every
 element below, its ``lw=`` the out and then the undecided witnessed ones.
+Lines sort by their fields, and ties by descending mass.
 
 Labels are constrained to the labeling that corresponds to the queried set:
 members of S are labeled in, everything else out or undecided, and every
@@ -170,7 +172,7 @@ def solve(
             raise BudgetExceeded("solver ran out of time")
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
         # a leaf starts from the one empty row, any other node from its first child
-        rows, den = tables.pop(kids[0]) if kids else ({(0, 0, 0): 1}, 1)
+        rows, den = tables.pop(kids[0]) if kids else ({(0, 0): {0: 1}}, 1)
         if kind == INTRO:
             rows = _introduce(rows, a, ctx)
         elif kind == FORGET:
@@ -180,12 +182,12 @@ def solve(
             right, right_den = tables.pop(kids[1])
             rows, den = _join(rows, right), den * right_den
         tables[t] = rows, den
-        stats[t] = NodeStats(kind, len(bag), len(rows))
+        stats[t] = NodeStats(kind, len(bag), sum(map(len, rows.values())))
         if trace_lines is not None:
             trace_lines.extend(_dump(t, rows, den, bag, ctx, mode))
 
     rows, den = tables[td.root]
-    exact = Fraction(sum(rows.values()), den)
+    exact = Fraction(sum(rows.get((0, 0), {}).values()), den)  # the root's bag is empty
     return SolveResult(exact, rounded(exact, mode), td.width(), td.node_count(), stats, trace_lines)
 
 
@@ -257,44 +259,40 @@ def _introduce(rows, a, ctx: _Context):
     # absent member of S, and that row is not emitted; nor is a certain ``a``
     keep_absent = ctx.warg[a][1] and not in_s
     und_choices = (0,) if in_s or ctx.sigma == "stb" else (0, bit)
-    for key, p in rows.items():
-        present, und, w = key
+    # no step mutates a table it was given, so the new groups share the child's
+    for (present, und), group in rows.items():
         if keep_absent:
-            out[key] = p
+            out[present, und] = group
         for und_a in und_choices:
-            out[present | bit, und | und_a, w] = p
+            out[present | bit, und | und_a] = group
     return out
 
 
 def _forget(rows, a, decided, ctx: _Context):
-    merged: dict[tuple, object] = {}
-    options: dict[tuple, list] = {}
+    merged: dict[tuple, dict] = {}
     bit = ctx.bit[a]
     keep = ~bit
     outside_s = not ctx.s_mask & bit  # an in-label needs no witness
-    com = ctx.sigma == "com"
-    for (present, und, w), p in rows.items():
-        if (present, und) not in options:
-            options[present, und] = ctx.choices(a, present, und, decided)
-        needs = outside_s and present & bit and (com or not und & bit)
-        for _, w_bits, factor in options[present, und]:
-            new_w = w | w_bits
-            if needs and not new_w & bit:
-                continue
-            key = (present & keep, und & keep, new_w & keep)
-            merged[key] = merged.get(key, 0) + p * factor
-    return merged
+    for (present, und), group in rows.items():
+        needs = outside_s and present & bit and (ctx.sigma == "com" or not und & bit)
+        target = merged.setdefault((present & keep, und & keep), {})
+        for _, w_bits, factor in ctx.choices(a, present, und, decided):
+            for w, p in group.items():
+                new_w = w | w_bits
+                if needs and not new_w & bit:
+                    continue
+                new_w &= keep
+                target[new_w] = target.get(new_w, 0) + p * factor
+    return {structure: group for structure, group in merged.items() if group}
 
 
 def _join(left, right):
-    by_structure: dict[tuple, list] = {}
-    for (present, und, w), p in right.items():
-        by_structure.setdefault((present, und), []).append((w, p))
-    merged: dict[tuple, object] = {}
-    for (present, und, w1), p1 in left.items():
-        for w2, p2 in by_structure.get((present, und), ()):
-            key = (present, und, w1 | w2)
-            merged[key] = merged.get(key, 0) + p1 * p2
+    merged: dict[tuple, dict] = {}
+    for structure in left.keys() & right.keys():
+        target = merged[structure] = {}
+        for w1, p1 in left[structure].items():
+            for w2, p2 in right[structure].items():
+                target[w1 | w2] = target.get(w1 | w2, 0) + p1 * p2
     return merged
 
 
@@ -316,23 +314,25 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
     bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
     decoded = []
-    for (present, und, w), p in rows.items():
-        expanded = [(0, w, p)]
+    for (present, und), group in rows.items():
+        expanded = [(0, 0, 1)]
         for a, decided in steps:
             options = ctx.choices(a, present, und, decided)
             expanded = [
-                (atts | more, w | w_bits, p * factor)
-                for atts, w, p in expanded
+                (atts | more, w | w_bits, f * factor)
+                for atts, w, f in expanded
                 for more, w_bits, factor in options
             ]
         args = names(present)
-        labels = [IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT for x in args]
-        for atts, w, p in expanded:
+        # the labels sort as (argument, label) pairs: out before undecided
+        lab = tuple((x, IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT) for x in args)
+        for atts, w_bits, factor in expanded:
             att_list = [att for r_bit, att in bag_attacks if atts & r_bit]
-            # the labels sort as (argument, label) pairs: out before undecided
-            decoded.append(((args, att_list, tuple(zip(args, labels)), names(w & ~und), names(w & und)), p))
+            for w, p in group.items():
+                w |= w_bits
+                decoded.append(((args, att_list, lab, names(w & ~und), names(w & und)), p * factor))
     lines = []
-    for (args, att_list, lab, w_out, w_und), p in sorted(decoded, key=lambda d: d[0]):
+    for (args, att_list, lab, w_out, w_und), p in sorted(decoded, key=lambda d: (d[0], -d[1])):
         ins, outs, unds = (",".join(x for x, l in lab if l == want) for want in (IN, OUT, UND))
         attstr = ",".join(f"{x}>{y}" for x, y in att_list)
         lines.append(

@@ -102,10 +102,12 @@ def test_as_probability_rejects_zero(value):
         (Fraction(-1, 2), "probability Fraction(-1, 2) outside (0, 1]"),
         ("abc", "invalid probability 'abc'"),
         ("1/0", "invalid probability '1/0'"),
+        # Fraction itself would strip the no-break space
+        ("\u00a00.5", "invalid probability '\\xa00.5'"),
         (None, "invalid probability None"),
         (0.5, "refusing float probability 0.5; pass a string or Fraction"),
     ],
-    ids=["above-one", "negative", "unparsable", "zero-denominator", "none", "float"],
+    ids=["above-one", "negative", "unparsable", "zero-denominator", "no-break-space", "none", "float"],
 )
 def test_as_probability_messages(value, message):
     with pytest.raises(InputError) as info:

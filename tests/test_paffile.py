@@ -94,6 +94,7 @@ PROBABILITY_TOKENS = [
     ("1/1_0", "invalid probability '1/1_0'"),
     ("1_0", "invalid probability '1_0'"),
     ("1e-300", Fraction(1, 10**300)),
+    ("٠.٥", "invalid probability '٠.٥'"),
 ]
 
 

@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import re
@@ -174,8 +175,9 @@ def test_coprime_denominators_match_oracle():
 
 
 def test_rational_rows_carry_int_numerators(cycle5, monkeypatch):
-    # every DP step sees and returns plain int masses; the answer is the one
-    # Fraction a solve builds
+    # every DP step sees and returns plain int masses and leaves its input
+    # tables as it found them (an introduce shares its child's groups); the
+    # answer is the one Fraction a solve builds
     built, steps = [], []
 
     def counting_fraction(*args):
@@ -184,9 +186,13 @@ def test_rational_rows_carry_int_numerators(cycle5, monkeypatch):
 
     def checked(step):
         def wrapper(rows, *rest):
+            inputs = [rows, *(r for r in rest if isinstance(r, dict))]
+            before = copy.deepcopy(inputs)
             out = step(rows, *rest)
             steps.append(step.__name__)
-            assert all(type(p) is int for p in [*rows.values(), *out.values()])
+            assert inputs == before
+            masses = [p for table in (*inputs, out) for group in table.values() for p in group.values()]
+            assert all(type(p) is int for p in masses)
             return out
 
         return wrapper
@@ -265,6 +271,15 @@ def test_full_trace_rows_in_order(cycle5):
     res = solve(cycle5, "com", {"a", "c", "e"}, td=td, trace=True)
     assert res.value == Fraction(18, 25)
     assert res.trace == list(CYCLE5_TRACE)
+
+
+def test_tied_trace_lines_run_from_the_largest_mass_down(cycle5):
+    # the min-fill decomposition of cycle5 has lines equal but for their mass
+    trace = solve(cycle5, "com", {"a", "c", "e"}, trace=True).trace
+    split = [line.rsplit(" p=", 1) for line in trace]
+    ties = [(p1, p2) for (f1, p1), (f2, p2) in zip(split, split[1:]) if f1 == f2]
+    assert ties
+    assert all(Fraction(p1) >= Fraction(p2) for p1, p2 in ties), ties
 
 
 def test_introduce_at_most_triples_its_child(cycle5):
