@@ -50,6 +50,8 @@ def as_probability(value) -> Fraction:
     Zero is rejected (drop the element instead), and so are binary floats:
     they would silently smuggle rounding error into the exact arithmetic mode.
     """
+    if type(value) is Fraction and 0 < value <= 1:
+        return value  # immutable, so each element is coerced once
     if isinstance(value, float):
         raise InputError(f"refusing float probability {value!r}; pass a string or Fraction")
     try:

@@ -17,8 +17,10 @@ are connected), where an "introduce edge" node would sit (Cygan et al.,
 *Parameterized Algorithms*, Springer 2015, §7.3).  There an attack with an
 absent endpoint is absent, a certain one present, an uncertain one either;
 a present attack sets its target's witness bit, and a certain attack that
-makes a row conflicting removes the row.  An introduce only adds ``a``
-absent or present with its label; a join pairs the groups of one structure.
+makes a row conflicting removes the row.  A forget decides each pattern of
+``a`` and its decided neighbours once, and sums the decisions that set the
+same witness bits.  An introduce only adds ``a`` absent or present with its
+label; a join pairs the groups of one structure.
 
 ``p`` is the mass of all compatible completions below the node, over the
 elements already forgotten: an int numerator over its table's one int
@@ -273,10 +275,22 @@ def _forget(rows, a, decided, ctx: _Context):
     bit = ctx.bit[a]
     keep = ~bit
     outside_s = not ctx.s_mask & bit  # an in-label needs no witness
+    # decisions read only ``local``, the bits of ``a`` and its decided
+    # neighbours: per pattern of those, the summed factor of each witness set
+    local = bit
+    for r in decided:
+        local |= r[1]
+    folded: dict[tuple, dict] = {}
     for (present, und), group in rows.items():
         needs = outside_s and present & bit and (ctx.sigma == "com" or not und & bit)
         target = merged.setdefault((present & keep, und & keep), {})
-        for _, w_bits, factor in ctx.choices(a, present, und, decided):
+        pattern = present & local, und & local
+        options = folded.get(pattern)
+        if options is None:
+            options = folded[pattern] = {}
+            for _, w_bits, factor in ctx.choices(a, *pattern, decided):
+                options[w_bits] = options.get(w_bits, 0) + factor
+        for w_bits, factor in options.items():
             for w, p in group.items():
                 new_w = w | w_bits
                 if needs and not new_w & bit:

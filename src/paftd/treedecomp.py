@@ -17,6 +17,7 @@ part of its bags, so they are connected iff there is one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .core import AF
 from .errors import InputError
@@ -251,16 +252,23 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             nbs = adj[v]
             return (len(nbs) * (len(nbs) - 1) - sum(len(nbs & adj[u]) for u in nbs)) // 2
     scores = {v: score(v) for v in adj}
+    # (score, name) entries; one whose vertex is gone or rescored is stale
+    heap = [(s, v) for v, s in scores.items()]
+    heapify(heap)
     out = []
     while scores:
-        best = min(scores.values())
-        ties = sorted(v for v, s in scores.items() if s == best)
-        v = ties[0] if rng is None else ties[int(rng.integers(len(ties)))]
+        while scores.get(heap[0][1]) != heap[0][0]:
+            heappop(heap)
+        best, v = heap[0]
+        if rng is not None:  # a scan: popping and re-pushing every tie is slower
+            ties = sorted(u for u, s in scores.items() if s == best)
+            v = ties[int(rng.integers(len(ties)))]
         out.append(v)
         del scores[v]
         nbs = _eliminate(adj, v)
         for u in nbs if heuristic == "min-degree" else nbs.union(*(adj[u] for u in nbs)):
             scores[u] = score(u)
+            heappush(heap, (scores[u], u))
     return out
 
 

@@ -89,6 +89,20 @@ def test_as_probability_rejects_floats_and_out_of_range():
     assert as_probability(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_an_in_range_fraction_is_returned_as_it_is():
+    p = Fraction(1, 3)
+    assert as_probability(p) is p
+    with pytest.raises(InputError, match=r"^probability Fraction\(3, 2\) outside \(0, 1\]$"):
+        as_probability(Fraction(3, 2))
+
+    class Tenth(Fraction):
+        pass
+
+    # a subclass takes the full path and comes back as a plain Fraction
+    q = as_probability(Tenth(1, 10))
+    assert type(q) is Fraction and q == Fraction(1, 10)
+
+
 @pytest.mark.parametrize("value", [0, "0", "0.0", Fraction(0), Decimal("0")], ids=repr)
 def test_as_probability_rejects_zero(value):
     with pytest.raises(InputError, match=r"^zero-probability element; remove it from the instance$"):

@@ -298,6 +298,69 @@ def test_introduce_at_most_triples_its_child(cycle5):
                 assert node.rows <= 3 * stats[td.children[t][0]].rows, t
 
 
+def reference_forget(rows, a, decided, ctx):
+    """A forget that decides every group's attacks anew, one choice at a time."""
+    merged = {}
+    bit = ctx.bit[a]
+    outside_s = not ctx.s_mask & bit
+    for (present, und), group in rows.items():
+        needs = outside_s and present & bit and (ctx.sigma == "com" or not und & bit)
+        target = merged.setdefault((present & ~bit, und & ~bit), {})
+        for _, w_bits, factor in ctx.choices(a, present, und, decided):
+            for w, p in group.items():
+                new_w = w | w_bits
+                if needs and not new_w & bit:
+                    continue
+                target[new_w & ~bit] = target.get(new_w & ~bit, 0) + p * factor
+    return {structure: group for structure, group in merged.items() if group}
+
+
+def test_forget_equals_the_per_group_reference(monkeypatch):
+    forget, forgets = solver._forget, []
+
+    def checked(rows, a, decided, ctx):
+        out = forget(rows, a, decided, ctx)
+        assert out == reference_forget(rows, a, decided, ctx), a
+        forgets.append(a)
+        return out
+
+    monkeypatch.setattr(solver, "_forget", checked)
+    rnd = random.Random(46)
+    for _ in range(100):
+        paf = random_paf(rnd)
+        S = random_subset(rnd, paf)
+        for sigma in ("adm", "com", "stb"):
+            solve(paf, sigma, S)
+    assert forgets
+
+
+def test_forget_decides_each_local_pattern_once(monkeypatch):
+    # the decisions read only a's bit and its decided neighbours' bits
+    choices, forget, calls = solver._Context.choices, solver._forget, []
+
+    def counted(ctx, a, present, und, decided):
+        calls.append((present, und))
+        return choices(ctx, a, present, und, decided)
+
+    def checked(rows, a, decided, ctx):
+        calls.clear()
+        out = forget(rows, a, decided, ctx)
+        local = ctx.bit[a]
+        for r in decided:
+            local |= r[1]
+        patterns = {(present & local, und & local) for present, und in rows}
+        assert len(calls) == len(set(calls)) and set(calls) <= patterns, a
+        return out
+
+    monkeypatch.setattr(solver._Context, "choices", counted)
+    monkeypatch.setattr(solver, "_forget", checked)
+    spec = GridSpec(4, 30, 2)
+    grid, query = generate_grid(spec)
+    td = make_nice(decompose(grid.af, order=grid_elimination_order(spec)))
+    for sigma in ("adm", "com", "stb"):
+        solve(grid, sigma, query, td=td)
+
+
 @pytest.mark.parametrize(
     "extra",
     [{"heuristic": "nope"}, {"heuristic": "min-degree"}],

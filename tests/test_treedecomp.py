@@ -118,11 +118,12 @@ def test_order_equals_the_full_rescore_reference():
     rnd = random.Random(33)
     afs = [random_paf(rnd, max_args=rnd.choice([6, 10, 16])).af for _ in range(60)]
     afs += [parse_paf((FIXTURES / f).read_text()).paf.af for f in ("chain5.paf", "cycle5.paf")]
-    # the benchmark's grid shapes: dp-replay, long-default and oracle-small
-    afs += [generate_grid(GridSpec(*shape))[0].af for shape in ((4, 30, 2), (2, 300, 1), (3, 3, 2))]
+    # the benchmark's grid shapes (dp-replay, long-default, oracle-small) and ROADMAP's 5x20
+    shapes = ((4, 30, 2), (2, 300, 1), (3, 3, 2), (5, 20, 0))
+    afs += [generate_grid(GridSpec(*shape))[0].af for shape in shapes]
     for af in afs:
         for heuristic in HEURISTICS:
-            for seed in (None, 0, 1):
+            for seed in (None, 0, 1, 2):
                 rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
                 want = reference_order(af, heuristic, rngs[0])
                 assert elimination_order(af, heuristic, rng=rngs[1]) == want, (af, heuristic, seed)
