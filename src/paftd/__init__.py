@@ -13,7 +13,6 @@ from .core import (
     subframework_probability,
 )
 from .errors import BudgetExceeded, CapacityError, InputError, PaftdError
-from .generator import GridSpec, generate_grid, generate_grid_document, grid_elimination_order
 from .oracle import (
     count_acc,
     count_ext,
@@ -40,6 +39,18 @@ from .treedecomp import (
 )
 
 __version__ = "0.1.0"
+
+# the generator imports numpy, so its names are loaded on first use
+_GENERATOR_NAMES = ("GridSpec", "generate_grid", "generate_grid_document", "grid_elimination_order")
+
+
+def __getattr__(name: str):
+    if name in _GENERATOR_NAMES:
+        from . import generator
+
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AF",

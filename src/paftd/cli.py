@@ -15,9 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import generator, oracle, paffile, preprocess, solver, treedecomp
+from . import oracle, paffile, preprocess, solver, treedecomp
 from .core import exact_text
 from .errors import BudgetExceeded, CapacityError, InputError
 
@@ -199,7 +197,11 @@ def _cmd_decompose(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise InputError(f"seed must be non-negative, got {args.seed}")
     doc = paffile.parse_paf(_read(args.input))
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
+    rng = None
+    if args.seed is not None:
+        import numpy as np  # only a seeded order needs numpy
+
+        rng = np.random.default_rng(args.seed)
     td = treedecomp.decompose(doc.paf.af, heuristic=args.heuristic, order=args.order, rng=rng)
     if args.nice:
         td = treedecomp.make_nice(td)
@@ -223,6 +225,8 @@ def _cmd_validate_td(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import generator  # it imports numpy, which no other command needs
+
     try:
         rows, cols = args.grid.lower().split("x")
         spec = generator.GridSpec(int(rows), int(cols), args.seed)

@@ -5,6 +5,11 @@ against: it materializes every scenario of a PAF, evaluates the queried
 semantics directly on it, and sums probabilities (or counts scenarios).
 Probabilities are exact ints over one denominator, the product of the
 denominators of the uncertain elements, and an answer is divided once.
+Scenarios are built in blocks.  For each choice of the uncertain arguments,
+and of the uncertain attacks between present arguments past the first
+``_BLOCK``, the views of every choice of those first ``_BLOCK`` attacks are
+built by doubling, one attack at a time.  So a scenario costs two list
+copies, and at most ``2**_BLOCK`` views are held at once.
 Credulous acceptance under adm, com and stb is one search that grows a
 conflict-free set from the argument until it is admissible or stable.
 Runtime is exponential in the number of uncertain elements, so a capacity
@@ -28,6 +33,10 @@ ORACLE_SEMANTICS = ("adm", "com", "stb", "grd")
 
 _DEADLINE_STRIDE = 256
 
+# the attacks per argument choice that are enumerated by doubling: at most
+# 2**_BLOCK scenario views are held at once
+_BLOCK = 10
+
 
 def _check_capacity(paf: PAF, cap: int) -> None:
     n = paf.uncertainty_count()
@@ -50,13 +59,23 @@ def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
     (canonical order, first argument in the least significant position, bit
     set = present), then for each argument choice a binary counter over the
     uncertain attacks (sorted) whose endpoints are both present.
+
+    That second counter is split into a low block of the first ``_BLOCK``
+    attacks and the high rest.  For each pattern of the high attacks, the
+    low block's views are built by doubling, one attack at a time: the views
+    so far without it, then a copy of each with it.  So view ``r`` holds low
+    attack ``i`` exactly when bit ``i`` of ``r`` is set, and the order is the
+    one counter's, ``high << _BLOCK | r``.  Every view owns its lists.
     """
     args = paf.af.arguments
     probs = [paf.arg_prob[a] for a in args]
     certain = sum(1 << i for i, p in enumerate(probs) if p == 1)
     u_args = [(1 << i, p.numerator, p.denominator - p.numerator) for i, p in enumerate(probs) if p != 1]
     index = {a: i for i, a in enumerate(args)}
-    atts = [(index[x], index[y], paf.att_prob[x, y]) for x, y in sorted(paf.af.attacks)]
+    atts = []  # (endpoint bits, xi, yi, n, d) for an attack of probability n/d
+    for x, y in sorted(paf.af.attacks):
+        xi, yi, p = index[x], index[y], paf.att_prob[x, y]
+        atts.append((1 << xi | 1 << yi, xi, yi, p.numerator, p.denominator))
     ticks = 0
     for amask in range(1 << len(u_args)):
         present, w_args = certain, 1
@@ -67,27 +86,33 @@ def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
             else:
                 w_args *= m
         att_of, tgt_of, u_atts = [0] * len(args), [0] * len(args), []
-        for xi, yi, p in atts:
-            if not (present >> xi & 1 and present >> yi & 1):
-                w_args *= p.denominator
-            elif p.denominator == 1:
+        for ends, xi, yi, n, d in atts:
+            if present & ends != ends:
+                w_args *= d
+            elif n == d:
                 att_of[yi] |= 1 << xi
                 tgt_of[xi] |= 1 << yi
             else:
-                u_atts.append((xi, yi, p.numerator, p.denominator - p.numerator))
-        for rmask in range(1 << len(u_atts)):
-            ticks += 1
-            if deadline is not None and ticks % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded("oracle enumeration ran out of time")
-            a_of, t_of, w = att_of[:], tgt_of[:], w_args
-            for i, (xi, yi, n, m) in enumerate(u_atts):
-                if rmask >> i & 1:
+                u_atts.append((xi, yi, n, d - n))
+        low, high = u_atts[:_BLOCK], u_atts[_BLOCK:]
+        for hmask in range(1 << len(high)):
+            a_of, t_of, w_high = att_of[:], tgt_of[:], w_args
+            for i, (xi, yi, n, m) in enumerate(high):
+                if hmask >> i & 1:
                     a_of[yi] |= 1 << xi
                     t_of[xi] |= 1 << yi
-                    w *= n
+                    w_high *= n
                 else:
-                    w *= m
-            yield _Scenario(present, a_of, t_of), w
+                    w_high *= m
+            views, weights = [_Scenario(present, a_of, t_of)], [w_high]
+            for xi, yi, n, m in low:
+                views += [view.with_attack(xi, yi) for view in views]
+                weights = [w * m for w in weights] + [w * n for w in weights]
+            for view, w in zip(views, weights):
+                ticks += 1
+                if deadline is not None and ticks % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+                    raise BudgetExceeded("oracle enumeration ran out of time")
+                yield view, w
 
 
 def enumerate_subframeworks(
@@ -126,6 +151,13 @@ class _Scenario:
         self.present = present
         self.att_of = att_of  # att_of[i]: bits of the attackers of argument i
         self.tgt_of = tgt_of  # tgt_of[i]: bits of the targets of argument i
+
+    def with_attack(self, xi: int, yi: int) -> _Scenario:
+        """A copy of this view with the attack from argument xi to yi added."""
+        att_of, tgt_of = self.att_of[:], self.tgt_of[:]
+        att_of[yi] |= 1 << xi
+        tgt_of[xi] |= 1 << yi
+        return _Scenario(self.present, att_of, tgt_of)
 
     def is_extension(self, S: int, sigma: str) -> bool:
         if S & ~self.present:

@@ -16,6 +16,7 @@ part of its bags, so they are connected iff there is one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -252,23 +253,30 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             nbs = adj[v]
             return (len(nbs) * (len(nbs) - 1) - sum(len(nbs & adj[u]) for u in nbs)) // 2
     scores = {v: score(v) for v in adj}
-    # (score, name) entries; one whose vertex is gone or rescored is stale
-    heap = [(s, v) for v, s in scores.items()]
+    tied: dict[int, list[str]] = {}  # score -> the sorted names with that score
+    for v in sorted(scores):
+        tied.setdefault(scores[v], []).append(v)
+    # every score with a name; one whose list has emptied is stale
+    heap = list(tied)
     heapify(heap)
     out = []
     while scores:
-        while scores.get(heap[0][1]) != heap[0][0]:
+        while not tied[heap[0]]:
             heappop(heap)
-        best, v = heap[0]
-        if rng is not None:  # a scan: popping and re-pushing every tie is slower
-            ties = sorted(u for u, s in scores.items() if s == best)
-            v = ties[int(rng.integers(len(ties)))]
+        ties = tied[heap[0]]
+        v = ties.pop(0 if rng is None else int(rng.integers(len(ties))))
         out.append(v)
         del scores[v]
         nbs = _eliminate(adj, v)
         for u in nbs if heuristic == "min-degree" else nbs.union(*(adj[u] for u in nbs)):
-            scores[u] = score(u)
-            heappush(heap, (scores[u], u))
+            s = score(u)
+            if s != scores[u]:
+                old = tied[scores[u]]
+                del old[bisect_left(old, u)]
+                scores[u] = s
+                if not tied.setdefault(s, []):
+                    heappush(heap, s)
+                insort(tied[s], u)
     return out
 
 

@@ -255,6 +255,20 @@ def test_empty_instance_still_checks_the_order(tmp_path, argv, capsys):
         assert capsys.readouterr().out == "bag 0\n"
 
 
+def test_importing_the_cli_does_not_import_numpy():
+    # numpy serves only `generate` and `decompose --seed`, which import it
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, paftd.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_min_fill_orders_a_large_star_quickly(tmp_path):
     # 1500 leaves attack one hub: rescoring the hub after each leaf must cost
     # its degree, not its square (about 2 s against 22.7 s on a 2-vCPU VM)

@@ -1,5 +1,7 @@
 import ast
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +28,7 @@ from paftd import (
 )
 from paftd import oracle
 from paftd.oracle import ORACLE_SEMANTICS, _Scenario
+from paftd.paffile import serialize_paf
 
 from conftest import FIXTURES, random_paf, random_subset
 
@@ -229,6 +232,63 @@ def test_integer_weights_match_the_fraction_reference():
             assert count_ext(paf, sigma, S) == len(ext)
             assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0))
             assert count_acc(paf, sigma, a) == len(acc)
+
+
+def _block_split_paf():
+    """Certain a0..a5 with ``_BLOCK + 3`` uncertain attacks among them, so
+    every argument choice splits its attack counter at the block, plus two
+    uncertain arguments: u0 adds an uncertain attack when present, u1 only
+    certain ones."""
+    names = [f"a{i}" for i in range(6)]
+    pairs = [(x, y) for x in names for y in names if x != y][: oracle._BLOCK + 3]
+    af = AF([*names, "u0", "u1"], [*pairs, ("u0", "a0"), ("a1", "u0"), ("u1", "a2")])
+    arg_prob = {a: 1 for a in names} | {"u0": Fraction(2, 5), "u1": Fraction(7, 10)}
+    att_prob = {r: Fraction(1 + i % 9, 10) for i, r in enumerate(pairs)}
+    att_prob |= {("u0", "a0"): Fraction(1, 3), ("a1", "u0"): 1, ("u1", "a2"): 1}
+    return PAF(af, arg_prob, att_prob)
+
+
+def test_scenarios_across_the_block_split():
+    paf = _block_split_paf()
+    index = {a: i for i, a in enumerate(paf.af.arguments)}
+    reference = list(_reference_scenarios(paf))
+    # for each choice of u1: 2**13 attack choices without u0, 2**14 with it
+    assert len(reference) == 2 * (2 ** (oracle._BLOCK + 3) + 2 ** (oracle._BLOCK + 4))
+    assert list(enumerate_subframeworks(paf)) == [
+        (Subframework(present, atts), p) for present, atts, p in reference
+    ]
+    # every view is taken before any is read: views that shared or reused
+    # their lists would show the last scenario's attacks
+    held = list(oracle._iter_scenarios(paf))
+    den = oracle._denominator(paf)
+    got = [(view.present, view.att_of, view.tgt_of, Fraction(w, den)) for view, w in held]
+    views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
+    assert got == [(view.present, view.att_of, view.tgt_of, p) for view, p in views]
+
+
+def test_a_near_cap_chain_runs_out_of_time_in_bounded_memory(tmp_path):
+    # 26 uncertain attacks on a certain 27-chain: 2**26 scenarios, which the
+    # 0.5 s deadline stops; building them all at once would exhaust 1 GiB
+    resource = pytest.importorskip("resource")
+    names = [f"c{i:02d}" for i in range(27)]
+    chain = list(zip(names, names[1:]))
+    path = tmp_path / "chain27.paf"
+    path.write_text(serialize_paf(PAF(AF(names, chain), {a: 1 for a in names}, {r: Fraction(1, 2) for r in chain})))
+    src = str(Path(paftd.__file__).resolve().parents[1])
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "paftd", "oracle", str(path), "--ext", "c00", "--timeout", "0.5"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: oracle enumeration ran out of time\n"
 
 
 def _subset_accepts(view, abit, sigma):
