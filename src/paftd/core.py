@@ -30,12 +30,17 @@ _NAME_RE = re.compile(r"^(?!#)[^\s,]+$")
 # enumeration guards; subset enumeration is exponential in |A|
 MAX_ENUM_ARGUMENTS = 20
 
+# Python's default bound on an int literal's digits, so that the exponent k
+# of 1e-k is bounded as the k decimals of 0.00...1 are; every run of digits in
+# a probability string is bounded by it, whatever the interpreter's own limit
+MAX_EXPONENT = 4300
+_DIGITS = rf"\d{{1,{MAX_EXPONENT}}}"
 # a probability string on every Python version: a decimal or p/q, with no
 # digit separators or inner whitespace (``Fraction`` alone varies with it)
-_PROBABILITY_RE = re.compile(r"\s*[+-]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:e[+-]?(?P<exp>\d+))?)\s*", re.I | re.ASCII)
-# Python's default bound on an int literal's digits, so that the exponent k
-# of 1e-k is bounded as the k decimals of 0.00...1 are
-MAX_EXPONENT = 4300
+_PROBABILITY_RE = re.compile(
+    rf"\s*[+-]?(?=\.?\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:e[+-]?(?P<exp>{_DIGITS}))?)\s*",
+    re.I | re.ASCII,
+)
 
 
 def is_valid_arg_name(name: str) -> bool:
@@ -50,14 +55,26 @@ def as_probability(value) -> Fraction:
     Zero is rejected (drop the element instead), and so are binary floats:
     they would silently smuggle rounding error into the exact arithmetic mode.
     """
-    if type(value) is Fraction and 0 < value <= 1:
+    if type(value) is Fraction and 0 < value.numerator <= value.denominator:
         return value  # immutable, so each element is coerced once
     if isinstance(value, float):
         raise InputError(f"refusing float probability {value!r}; pass a string or Fraction")
     try:
         if isinstance(value, str):
+            # the file format's usual tokens, 1 and 0.d...d, are read with int
+            # arithmetic; any other string takes the grammar below
+            if value == "1":
+                return Fraction(1)
+            digits = value[2:]
+            if (
+                value[:2] == "0."
+                and len(digits) <= MAX_EXPONENT
+                and digits.isascii()
+                and digits.isdigit()
+                and (n := int(digits))
+            ):
+                return Fraction(n, 10 ** len(digits))
             m = _PROBABILITY_RE.fullmatch(value)
-            # int() itself rejects an exponent of more digits than the bound
             if m is None or int(m["exp"] or 0) > MAX_EXPONENT:
                 raise ValueError
         elif isinstance(value, Decimal):

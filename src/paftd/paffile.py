@@ -31,23 +31,29 @@ class PafDocument:
     query_arg: str | None = None
 
 
-def _parse_probability(token: str, lineno: int) -> Fraction:
-    try:
-        return as_probability(token)
-    except InputError as exc:
-        raise PafFormatError(str(exc), lineno) from None
+def _parse_probability(token: str, lineno: int, read: dict[str, Fraction]) -> Fraction:
+    """The token's probability; ``read`` holds every token this file has
+    read so far, so each distinct token is parsed once.  A bad token is never
+    stored, so it fails at the first line that holds it."""
+    p = read.get(token)
+    if p is None:
+        try:
+            p = read[token] = as_probability(token)
+        except InputError as exc:
+            raise PafFormatError(str(exc), lineno) from None
+    return p
 
 
 def parse_paf(text: str) -> PafDocument:
     args: dict[str, Fraction] = {}
     atts: dict[tuple[str, str], Fraction] = {}
+    read: dict[str, Fraction] = {}
     query_set: frozenset[str] | None = None
     query_arg: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "arg":
             if len(parts) != 3:
@@ -57,7 +63,7 @@ def parse_paf(text: str) -> PafDocument:
                 raise PafFormatError(f"invalid argument name {name!r}", lineno)
             if name in args:
                 raise PafFormatError(f"duplicate argument {name!r}", lineno)
-            args[name] = _parse_probability(parts[2], lineno)
+            args[name] = _parse_probability(parts[2], lineno, read)
         elif kind == "att":
             if len(parts) != 4:
                 raise PafFormatError("expected: att <src> <dst> <prob>", lineno)
@@ -67,7 +73,7 @@ def parse_paf(text: str) -> PafDocument:
                     raise PafFormatError(f"undeclared endpoint {end!r}", lineno)
             if (src, dst) in atts:
                 raise PafFormatError(f"duplicate attack ({src},{dst})", lineno)
-            atts[(src, dst)] = _parse_probability(parts[3], lineno)
+            atts[(src, dst)] = _parse_probability(parts[3], lineno, read)
         elif kind == "set":
             if query_set is not None:
                 raise PafFormatError("duplicate set line", lineno)

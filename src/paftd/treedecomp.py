@@ -115,8 +115,8 @@ class NiceTreeDecomposition(TreeDecomposition):
         elif self.bags[self.root]:
             v.append("root bag is not empty")
         for t, kind in self.kind.items():
-            unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
-            if unread:
+            if t not in self.bags or t not in self.children or t not in self.arg:
+                unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
                 v.append(f"node {t} has no {'/'.join(unread)} entry")
                 continue
             # a child that is no bag fails the tree check; here it reads as empty
@@ -158,10 +158,9 @@ def parse_td(text: str):
     edges: list[tuple[int, int]] = []
     types: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         try:
             if parts[0] == "bag":
                 t = int(parts[1])
@@ -180,7 +179,7 @@ def parse_td(text: str):
             else:
                 raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
         except (IndexError, ValueError) as exc:
-            raise InputError(f"line {lineno}: malformed TD line {line!r}: {exc}") from None
+            raise InputError(f"line {lineno}: malformed TD line {raw.strip()!r}: {exc}") from None
     if not bags:
         raise InputError("TD file declares no bags")
     children: dict[int, tuple[int, ...]] = {t: () for t in bags}

@@ -1,9 +1,12 @@
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paftd import (
     AF,
@@ -154,6 +157,33 @@ def test_both_spellings_of_a_small_probability_meet_one_bound():
             else:
                 with pytest.raises(InputError, match="^invalid probability"):
                     as_probability(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit to lift")
+def test_the_digit_bound_holds_without_the_interpreter_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        run = "1" * 4300
+        assert as_probability("0." + run) == Fraction(int(run), 10**4300)
+        assert as_probability(f"{run}/{run}") == 1
+        for text in ("0." + run + "1", "0" + run + "/" + run, "1/" + run + "1", "1e-" + "0" * 4301, "0." + run + "1e0"):
+            with pytest.raises(InputError) as info:
+                as_probability(text)
+            assert str(info.value) == f"invalid probability {text!r}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet="0123456789", max_size=30))
+def test_a_decimal_token_reads_as_fraction_reads_it(ds):
+    want = Fraction("0." + ds)
+    if want == 0:
+        with pytest.raises(InputError, match=r"^zero-probability element; remove it from the instance$"):
+            as_probability("0." + ds)
+    else:
+        assert as_probability("0." + ds) == want
 
 
 def test_a_long_decimal_exponent_is_rejected_quickly():

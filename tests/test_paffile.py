@@ -95,6 +95,14 @@ PROBABILITY_TOKENS = [
     ("1_0", "invalid probability '1_0'"),
     ("1e-300", Fraction(1, 10**300)),
     ("٠.٥", "invalid probability '٠.٥'"),
+    ("0.50", Fraction(1, 2)),
+    ("0.05", Fraction(1, 20)),
+    ("00.5", Fraction(1, 2)),
+    ("1.0", Fraction(1)),
+    ("0.000", ZERO),
+    ("0.5e0", Fraction(1, 2)),
+    ("0.²", "invalid probability '0.²'"),
+    ("0.٥", "invalid probability '0.٥'"),
 ]
 
 
@@ -114,6 +122,20 @@ def test_probability_token(token, want, lineno, template):
         parse_paf(text)
     assert str(info.value) == f"line {lineno}: {want}"
     assert info.value.lineno == lineno
+
+
+@pytest.mark.parametrize("token, message", [("0.5.", "invalid probability '0.5.'"), ("0", ZERO)])
+def test_a_repeated_bad_token_fails_at_its_first_line(token, message):
+    text = f"arg a 0.5\narg b 1\natt a b {token}\natt b a {token}\narg c {token}\n"
+    with pytest.raises(PafFormatError) as info:
+        parse_paf(text)
+    assert str(info.value) == f"line 3: {message}"
+    assert info.value.lineno == 3
+
+
+def test_each_token_is_read_once_per_file():
+    paf = parse_paf("arg a 0.5\narg b 0.5\natt a b 0.5\n").paf
+    assert paf.arg_prob["a"] is paf.arg_prob["b"] is paf.att_prob[("a", "b")]
 
 
 def test_a_long_exponent_is_rejected_quickly():
