@@ -61,19 +61,6 @@ def as_probability(value) -> Fraction:
         raise InputError(f"refusing float probability {value!r}; pass a string or Fraction")
     try:
         if isinstance(value, str):
-            # the file format's usual tokens, 1 and 0.d...d, are read with int
-            # arithmetic; any other string takes the grammar below
-            if value == "1":
-                return Fraction(1)
-            digits = value[2:]
-            if (
-                value[:2] == "0."
-                and len(digits) <= MAX_EXPONENT
-                and digits.isascii()
-                and digits.isdigit()
-                and (n := int(digits))
-            ):
-                return Fraction(n, 10 ** len(digits))
             m = _PROBABILITY_RE.fullmatch(value)
             if m is None or int(m["exp"] or 0) > MAX_EXPONENT:
                 raise ValueError

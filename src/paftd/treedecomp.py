@@ -115,8 +115,8 @@ class NiceTreeDecomposition(TreeDecomposition):
         elif self.bags[self.root]:
             v.append("root bag is not empty")
         for t, kind in self.kind.items():
-            if t not in self.bags or t not in self.children or t not in self.arg:
-                unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
+            unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
+            if unread:
                 v.append(f"node {t} has no {'/'.join(unread)} entry")
                 continue
             # a child that is no bag fails the tree check; here it reads as empty
