@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import oracle, paffile, preprocess, solver, treedecomp
 from .core import exact_text
@@ -236,6 +237,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@cache  # parse_args leaves the parser as it is, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paftd",

@@ -10,6 +10,9 @@ and of the uncertain attacks between present arguments past the first
 ``_BLOCK``, the views of every choice of those first ``_BLOCK`` attacks are
 built by doubling, one attack at a time.  So a scenario costs two list
 copies, and at most ``2**_BLOCK`` views are held at once.
+A query enumerates only the scenarios in which its arguments (the set S, or
+the argument of an acceptance query) are present: S is no extension, and no
+extension holds the argument, of a scenario that lacks one of them.
 Credulous acceptance under adm, com and stb is one search that grows a
 conflict-free set from the argument until it is admissible or stable.
 Runtime is exponential in the number of uncertain elements, so a capacity
@@ -49,9 +52,10 @@ def _denominator(paf: PAF) -> int:
     return prod(p.denominator for p in (*paf.arg_prob.values(), *paf.att_prob.values()))
 
 
-def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
-    """Yield (bitmask view, weight) for every certain-respecting subframework,
-    exactly once each; its probability is weight / ``_denominator(paf)``.
+def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tuple[_Scenario, int]]:
+    """Yield (bitmask view, weight) for every certain-respecting subframework
+    in which the arguments of the bitmask ``required`` are present, exactly
+    once each; its probability is weight / ``_denominator(paf)``.
 
     An uncertain element with probability n/d puts n into the weight when
     present and d - n when absent; an uncertain attack with an absent
@@ -66,11 +70,18 @@ def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
     so far without it, then a copy of each with it.  So view ``r`` holds low
     attack ``i`` exactly when bit ``i`` of ``r`` is set, and the order is the
     one counter's, ``high << _BLOCK | r``.  Every view owns its lists.
+
+    A required argument is treated as certain, with its numerator n put
+    into every weight, and leaves the argument counter.  So the stream is
+    the unrestricted one with the scenarios that lack a required argument
+    left out, in the same order and with the same weights.
     """
     args = paf.af.arguments
     probs = [paf.arg_prob[a] for a in args]
-    certain = sum(1 << i for i, p in enumerate(probs) if p == 1)
-    u_args = [(1 << i, p.numerator, p.denominator - p.numerator) for i, p in enumerate(probs) if p != 1]
+    certain = required | sum(1 << i for i, p in enumerate(probs) if p == 1)
+    w_required = prod(p.numerator for i, p in enumerate(probs) if required >> i & 1)
+    u_args = [(1 << i, p.numerator, p.denominator - p.numerator)
+              for i, p in enumerate(probs) if not certain >> i & 1]
     index = {a: i for i, a in enumerate(args)}
     atts = []  # (endpoint bits, xi, yi, n, d) for an attack of probability n/d
     for x, y in sorted(paf.af.attacks):
@@ -78,7 +89,7 @@ def _iter_scenarios(paf: PAF, deadline=None) -> Iterator[tuple[_Scenario, int]]:
         atts.append((1 << xi | 1 << yi, xi, yi, p.numerator, p.denominator))
     ticks = 0
     for amask in range(1 << len(u_args)):
-        present, w_args = certain, 1
+        present, w_args = certain, w_required
         for i, (bit, n, m) in enumerate(u_args):
             if amask >> i & 1:
                 present |= bit
@@ -121,10 +132,11 @@ def enumerate_subframeworks(
     """Stream every certain-respecting subframework with its probability."""
     _check_capacity(paf, cap)
     args, den = paf.af.arguments, _denominator(paf)
+    index = {a: i for i, a in enumerate(args)}
+    attacks = [((x, y), index[y], 1 << index[x]) for x, y in sorted(paf.af.attacks)]
     for sc, w in _iter_scenarios(paf, deadline):
         present = frozenset(a for i, a in enumerate(args) if sc.present >> i & 1)
-        atts = frozenset((x, y) for j, y in enumerate(args)
-                         for i, x in enumerate(args) if sc.att_of[j] >> i & 1)
+        atts = frozenset(att for att, yi, xbit in attacks if sc.att_of[yi] & xbit)
         yield Subframework(present, atts), Fraction(w, den)
 
 
@@ -250,14 +262,17 @@ class _Scenario:
 
 def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bool):
     """Sum the probabilities (``weighted``) or count the scenarios in which
-    ``holds(scenario, mask of members, sigma)`` is true."""
+    ``holds(scenario, mask of members, sigma)`` is true.
+
+    ``holds`` is false in every scenario that lacks a member, so only the
+    scenarios in which every member is present are enumerated."""
     if sigma not in ORACLE_SEMANTICS:
         raise InputError(f"unknown semantics {sigma!r}")
     _check_capacity(paf, cap)
     index = {a: i for i, a in enumerate(paf.af.arguments)}
     mask = sum(1 << index[a] for a in paf.af.check_subset(members))
     total = 0
-    for scenario, w in _iter_scenarios(paf, deadline):
+    for scenario, w in _iter_scenarios(paf, deadline, mask):
         if holds(scenario, mask, sigma):
             total += w if weighted else 1
     return Fraction(total, _denominator(paf)) if weighted else total

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paftd
-from paftd import AF, PAF
+from paftd import AF, PAF, cli
 from paftd.cli import run
 from paftd.paffile import serialize_paf
 
@@ -67,6 +67,34 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["answer"] == "18/25"
+
+
+def test_one_parser_serves_every_run(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["solve", CYCLE5, "--set", "a,c,e"],
+        ["oracle", CYCLE5, "--ext", "a,c,e"],
+        ["oracle", CYCLE5, "--acc", "a"],
+        ["solve"],  # usage error
+        ["solve", CYCLE5, "--semantics", "grounded"],  # input error
+        ["solve", CYCLE5, "--set", "a,c,e"],
+    ]
+
+    def answer(out):
+        return json.loads(out)["answer"] if out else None
+
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "paftd", *argv], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, answer(proc.stdout)))
+    reused = []
+    for argv in runs:
+        code = run(argv)
+        reused.append((code, answer(capsys.readouterr().out)))
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 3, 0]
+    assert reused == fresh
 
 
 def chain_ext_probability(names, arg_prob, att_prob, S) -> Fraction:
@@ -378,7 +406,7 @@ def test_capacity_errors_exit_4(tmp_path, capsys):
 
 
 def test_oracle_timeout_exits_4(tmp_path, capsys):
-    # 10 uncertain arguments: 1024 scenarios, past the first deadline check
+    # 10 uncertain arguments, x0 required: 512 scenarios, past the first deadline check
     paf = tmp_path / "ten.paf"
     paf.write_text("".join(f"arg x{i} 0.5\n" for i in range(10)))
     assert run(["oracle", str(paf), "--ext", "x0", "--timeout", "1e-9"]) == 4

@@ -115,7 +115,7 @@ def test_capacity_cap():
 
 
 def test_deadline_stops_the_enumeration():
-    # 10 uncertain arguments: 1024 scenarios, past the first deadline check
+    # 10 uncertain arguments, x0 required: 512 scenarios, past the first deadline check
     names = [f"x{i}" for i in range(10)]
     paf = PAF(AF(names), {a: Fraction(1, 2) for a in names}, {})
     with pytest.raises(BudgetExceeded):
@@ -264,6 +264,34 @@ def test_scenarios_across_the_block_split():
     got = [(view.present, view.att_of, view.tgt_of, Fraction(w, den)) for view, w in held]
     views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
     assert got == [(view.present, view.att_of, view.tgt_of, p) for view, p in views]
+
+
+def _stream(paf, required=0):
+    return [(view.present, view.att_of, view.tgt_of, w)
+            for view, w in oracle._iter_scenarios(paf, required=required)]
+
+
+def test_required_arguments_leave_out_only_the_scenarios_that_lack_them():
+    def check(paf, required):
+        full = _stream(paf)
+        assert _stream(paf, required) == [s for s in full if s[0] & required == required]
+
+    paf = _block_split_paf()
+    index = {a: i for i, a in enumerate(paf.af.arguments)}
+    for names in (["u0"], ["u1"], ["u0", "u1"]):
+        check(paf, sum(1 << index[a] for a in names))
+    rnd = random.Random(16)
+    for _ in range(100):
+        paf = random_paf(rnd, max_args=6, max_uncertain=10)
+        check(paf, rnd.getrandbits(len(paf.af.arguments)))
+
+
+def test_a_query_enumerates_only_the_scenarios_that_hold_its_arguments():
+    names = [f"x{i}" for i in range(10)]
+    paf = PAF(AF(names), {a: Fraction(1, 2) for a in names}, {})
+    seen = oracle._fold(paf, "adm", {"x0"}, oracle.DEFAULT_UNCERTAINTY_CAP, None,
+                        lambda *_: True, weighted=False)
+    assert seen == 512
 
 
 def test_a_near_cap_chain_runs_out_of_time_in_bounded_memory(tmp_path):
