@@ -1,24 +1,25 @@
 """Tree-decompositions of the undirected attack graph, and their nice form.
 
 Decompositions are built from a greedy elimination ordering (min-fill by
-default, scored incrementally: Bodlaender & Koster, 2010) with the usual
-bag-tree assembly: the bag of an eliminated vertex hangs below the bag of
-its first-eliminated remaining neighbor.  A decomposition is three dicts
-over integer node ids: ``bags``, ``children`` and the ``root``.  A nice
-decomposition is the same tree with two more per-node dicts, ``kind`` (leaf,
-introduce, forget or join) and ``arg`` (the argument an introduce or forget
-node adds or drops).  ``make_nice`` rewrites any valid decomposition into one
-with empty root and leaf bags, preserving the width exactly.  ``post_order``
-is the one tree walk.  In the same pass ``validate`` counts each element's
-top holders (the root, or a holder whose parent lacks it): one per connected
-part of its bags, so they are connected iff there is one.
+default, scored incrementally: Bodlaender & Koster, 2010; the least score is
+read from the live score buckets) with the usual bag-tree assembly: the bag
+of an eliminated vertex hangs below the bag of its first-eliminated
+remaining neighbor.  A decomposition is three dicts over integer node ids:
+``bags``, ``children`` and the ``root``.  A nice decomposition is the same
+tree with two more per-node dicts, ``kind`` (leaf, introduce, forget or
+join) and ``arg`` (the argument an introduce or forget node adds or drops).
+``make_nice`` rewrites any valid decomposition into one with empty root and
+leaf bags, preserving the width exactly, through two closures: ``add`` makes
+a node and ``chain`` links two bags by forgets, then introduces.
+``post_order`` is the one tree walk.  In the same pass ``validate`` counts
+each element's top holders (the root, or a holder whose parent lacks it):
+one per connected part of its bags, so they are connected iff there is one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .core import AF
 from .errors import InputError
@@ -182,17 +183,18 @@ def parse_td(text: str):
             raise InputError(f"line {lineno}: malformed TD line {raw.strip()!r}: {exc}") from None
     if not bags:
         raise InputError("TD file declares no bags")
-    children: dict[int, tuple[int, ...]] = {t: () for t in bags}
+    kids: dict[int, list[int]] = {t: [] for t in bags}
     has_parent = set()
     for p, c in edges:
         if p not in bags or c not in bags:
             raise InputError(f"edge ({p},{c}) references an undeclared bag")
-        children[p] = children[p] + (c,)
+        kids[p].append(c)
         has_parent.add(c)
     roots = [t for t in bags if t not in has_parent]
     if len(roots) != 1:
         raise InputError(f"TD must have exactly one root, found {sorted(roots)}")
     root = roots[0]
+    children = {t: tuple(c) for t, c in kids.items()}
     if not types:
         return TreeDecomposition(bags, children, root)
     if not types.keys() <= bags.keys():
@@ -209,12 +211,8 @@ def parse_td(text: str):
 
 
 def _undirected_adjacency(af: AF) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {a: set() for a in af.arguments}
-    for x, y in af.attacks:
-        if x != y:  # self-attacks add no undirected edge
-            adj[x].add(y)
-            adj[y].add(x)
-    return adj
+    # self-attacks add no undirected edge
+    return {a: set(af.attackers(a) | af.targets(a)) - {a} for a in af.arguments}
 
 
 def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
@@ -240,7 +238,7 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
         if heuristic != "min-fill" or rng is not None:
             raise InputError("a given order takes no heuristic and no rng")
         order = list(order)
-        if sorted(order) != list(af.arguments):
+        if sorted(order, key=str) != list(af.arguments):
             raise InputError("ordering is not a permutation of the arguments")
         return order
 
@@ -252,18 +250,16 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             nbs = adj[v]
             return (len(nbs) * (len(nbs) - 1) - sum(len(nbs & adj[u]) for u in nbs)) // 2
     scores = {v: score(v) for v in adj}
-    tied: dict[int, list[str]] = {}  # score -> the sorted names with that score
+    tied: dict[int, list[str]] = {}  # score -> its sorted names; a score leaves with its last name
     for v in sorted(scores):
         tied.setdefault(scores[v], []).append(v)
-    # every score with a name; one whose list has emptied is stale
-    heap = list(tied)
-    heapify(heap)
     out = []
     while scores:
-        while not tied[heap[0]]:
-            heappop(heap)
-        ties = tied[heap[0]]
+        least = min(tied)
+        ties = tied[least]
         v = ties.pop(0 if rng is None else int(rng.integers(len(ties))))
+        if not ties:
+            del tied[least]
         out.append(v)
         del scores[v]
         nbs = _eliminate(adj, v)
@@ -272,10 +268,10 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             if s != scores[u]:
                 old = tied[scores[u]]
                 del old[bisect_left(old, u)]
+                if not old:
+                    del tied[scores[u]]
                 scores[u] = s
-                if not tied.setdefault(s, []):
-                    heappush(heap, s)
-                insort(tied[s], u)
+                insort(tied.setdefault(s, []), u)
     return out
 
 
@@ -287,49 +283,39 @@ def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> Tree
 
     adj = _undirected_adjacency(af)
     position = {v: i for i, v in enumerate(order)}
+    root = len(order) - 1
     bags: dict[int, frozenset[str]] = {}
-    parent: dict[int, int | None] = {}
+    children: dict[int, list[int]] = {i: [] for i in range(len(order))}
     for i, v in enumerate(order):
         nbs = _eliminate(adj, v)
         bags[i] = frozenset(nbs | {v})
-        parent[i] = min((position[u] for u in nbs), default=None)
-
-    root = len(order) - 1
-    children: dict[int, tuple[int, ...]] = {i: () for i in bags}
-    for i, p in parent.items():
-        if p is None:
-            p = root  # disjoint components hang below the overall root
+        p = min((position[u] for u in nbs), default=root)  # other components hang below the root
         if p != i:
-            children[p] = children[p] + (i,)
-    return TreeDecomposition(bags, children, root)
-
-
-class _NiceBuilder:
-    def __init__(self):
-        self.td = NiceTreeDecomposition({}, {}, 0, {}, {})
-
-    def add(self, kind, bag, children=(), arg=None) -> int:
-        td = self.td
-        i = len(td.bags)
-        td.bags[i], td.children[i], td.kind[i], td.arg[i] = frozenset(bag), tuple(children), kind, arg
-        return i
-
-    def chain(self, below: int, target_bag: frozenset[str]) -> int:
-        """Forget-then-introduce chain from the bag of ``below`` to ``target_bag``."""
-        cur = below
-        bag = set(self.td.bags[below])
-        for a in sorted(bag - target_bag):
-            bag.discard(a)
-            cur = self.add(FORGET, bag, (cur,), a)
-        for a in sorted(target_bag - bag):
-            bag.add(a)
-            cur = self.add(INTRO, bag, (cur,), a)
-        return cur
+            children[p].append(i)
+    return TreeDecomposition(bags, {i: tuple(c) for i, c in children.items()}, root)
 
 
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Rewrite a valid decomposition into nice form (same width)."""
-    b = _NiceBuilder()
+    nice = NiceTreeDecomposition({}, {}, 0, {}, {})
+
+    def add(kind, bag, children=(), arg=None) -> int:
+        i = len(nice.bags)
+        nice.bags[i], nice.children[i], nice.kind[i], nice.arg[i] = frozenset(bag), tuple(children), kind, arg
+        return i
+
+    def chain(below: int, target_bag: frozenset[str]) -> int:
+        """Forget-then-introduce chain from the bag of ``below`` to ``target_bag``."""
+        cur = below
+        bag = set(nice.bags[below])
+        for a in sorted(bag - target_bag):
+            bag.discard(a)
+            cur = add(FORGET, bag, (cur,), a)
+        for a in sorted(target_bag - bag):
+            bag.add(a)
+            cur = add(INTRO, bag, (cur,), a)
+        return cur
+
     parent = {c: t for t, kids in td.children.items() for c in kids}
     tops: dict[int, int] = {}  # finished node -> top of its chain to the parent's bag
     for t in td.post_order():
@@ -337,10 +323,10 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         if kids:
             cur = tops.pop(kids[0])
             for c in kids[1:]:
-                cur = b.add(JOIN, td.bags[t], (cur, tops.pop(c)))
+                cur = add(JOIN, td.bags[t], (cur, tops.pop(c)))
         else:
-            cur = b.chain(b.add(LEAF, frozenset()), td.bags[t])
+            cur = chain(add(LEAF, frozenset()), td.bags[t])
         # chain up before the next sibling's subtree starts: node ids stay depth-first
-        tops[t] = b.chain(cur, td.bags[parent[t]] if t in parent else frozenset())
-    b.td.root = tops[td.root]
-    return b.td
+        tops[t] = chain(cur, td.bags[parent[t]] if t in parent else frozenset())
+    nice.root = tops[td.root]
+    return nice

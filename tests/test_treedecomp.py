@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,9 @@ def test_given_order_requires_permutation():
         elimination_order(af, "given-order")
     with pytest.raises(InputError):
         elimination_order(af, order=["x0", "x1"])
+    ab = AF(["a", "b"], [("a", "b")])
+    with pytest.raises(InputError, match="ordering is not a permutation of the arguments"):
+        decompose(ab, order=["a", 1])
     order = ["x2", "x0", "x1"]
     assert elimination_order(af, order=order) == order
     assert decompose(af, order=order).validate(af) == []
@@ -121,12 +125,32 @@ def test_order_equals_the_full_rescore_reference():
     # the benchmark's grid shapes (dp-replay, long-default, oracle-small) and ROADMAP's 5x20
     shapes = ((4, 30, 2), (2, 300, 1), (3, 3, 2), (5, 20, 0))
     afs += [generate_grid(GridSpec(*shape))[0].af for shape in shapes]
+    # many live scores at once, and one score held by every name
+    names = [f"v{i}" for i in range(60)]
+    afs.append(AF(names, [(x, y) for x in names for y in names if x != y and rnd.random() < 0.15]))
+    afs.append(AF([f"w{i}" for i in range(200)]))
     for af in afs:
         for heuristic in HEURISTICS:
             for seed in (None, 0, 1, 2):
                 rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
                 want = reference_order(af, heuristic, rngs[0])
                 assert elimination_order(af, heuristic, rng=rngs[1]) == want, (af, heuristic, seed)
+
+
+def test_wide_fan_out_builds_in_linear_time():
+    """40,000 isolated arguments hang below one root: building, printing,
+    parsing and making its decomposition nice must not be quadratic in the
+    fan-out."""
+    af = AF([f"a{i}" for i in range(40_000)])
+    started = time.monotonic()
+    td = decompose(af)
+    parsed = parse_td(td.serialize())
+    nice = make_nice(parsed)
+    elapsed = time.monotonic() - started
+    for t in (td, parsed):
+        assert t.root == 39_999 and t.children[t.root] == tuple(range(39_999))
+    assert nice.width() == 0
+    assert elapsed < 4, f"{elapsed:.2f}s"
 
 
 def test_tie_break_is_deterministic_without_rng():
