@@ -87,11 +87,17 @@ def _cmd_solve(args) -> int:
     td = treedecomp.parse_td(_read(args.td_file)) if args.td_file else None
     if args.order is not None:  # a fixed decomposition, replayed like --td-file
         td = treedecomp.decompose(paf.af, order=args.order)
-    solved = []
-
-    def engine(instance):
-        solved.append(
-            solver.solve(
+    result = None
+    if sigma in solver.CLOSED_FORM_SEMANTICS and not args.trace:
+        # the closed form needs no decomposition; a fixed one is still checked
+        # and made nice, as the DP would, and gives the record its shape
+        value, status = solver.closed_form(paf, sigma, S), "off"
+        nice = solver.fixed_td(paf, td) if td is not None else None
+        width, nodes = (nice.width(), nice.node_count()) if nice else (None, None)
+    else:
+        def engine(instance):
+            nonlocal result
+            result = solver.solve(
                 instance,
                 sigma,
                 S,
@@ -101,18 +107,17 @@ def _cmd_solve(args) -> int:
                 trace=args.trace,
                 deadline=deadline,
             )
-        )
-        return solved[0].exact
+            return result.exact
 
-    # a TD describes the unreduced instance, so a fixed one turns preprocessing off
-    value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on" and td is None)
-    result = solved[0] if solved else None
+        # a TD describes the unreduced instance, so a fixed one turns preprocessing off
+        value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on" and td is None)
+        width, nodes = (result.width, result.node_count) if result else (None, None)
     record = {
         **_answer_fields(value, args.mode),
         "mode": args.mode,
         "semantics": args.semantics,
-        "width": result.width if result else None,
-        "nodes": result.node_count if result else None,
+        "width": width,
+        "nodes": nodes,
         "preprocess": status,
         "wallMillis": int((time.monotonic() - started) * 1000),
     }

@@ -52,6 +52,20 @@ present with no witness bit: an attack onto it from an in-labeled or
 undecided argument is a conflict, and one from an out argument sets none.
 So a table has at most the product over its bag of 1 (a member of S) or
 5, 4, 3 (com, adm, stb) rows, within the loose ``9**len(bag)``.
+
+Under adm and stb no DP is needed: whether S is an extension of a scenario
+depends, for each argument ``b`` outside S, only on ``b``'s presence and the
+attacks between ``b`` and S, and these element sets are disjoint, so the
+probability factorises (Fazzinga, Flesca & Parisi, ACM TOCL 2015).  Write
+``q(X)`` for the product of ``1 - p`` over the attacks in X, and S→S for the
+attacks among S, self-attacks included; then :func:`closed_form` computes
+
+    P = prod_{s in S} P(s) * q(S→S) * prod_{b not in S} (1 - P(b) + P(b) * ok_b)
+
+with ``ok_b = 1 - q(S→b)`` under stb and ``1 - (1 - q(b→S)) * q(S→b)`` under
+adm, in one pass over the attacks, on int numerators over one denominator.
+:func:`p_ext` and ``paftd solve`` answer adm and stb by it; :func:`solve`,
+and so ``paftd solve --trace``, stays the DP for all three semantics.
 """
 
 from __future__ import annotations
@@ -75,6 +89,7 @@ from .treedecomp import (
 )
 
 DP_SEMANTICS = ("adm", "com", "stb")
+CLOSED_FORM_SEMANTICS = ("adm", "stb")
 
 # the three labels of a bag argument, as the ``--trace`` dump spells them
 IN = "I"
@@ -120,12 +135,63 @@ def p_ext(paf: PAF, sigma: str, S, mode: str = "rational"):
     """Probability that S is a sigma-extension: exact, or in float ``mode``
     the exact answer rounded once.
 
-    Applies the forced-label preprocessing of ``paftd solve`` (complete
-    semantics) before the DP; :func:`solve` is the raw DP, and the one that
-    takes a fixed decomposition.
+    Answers adm and stb by :func:`closed_form`, and com by the DP after the
+    forced-label preprocessing of ``paftd solve``; :func:`solve` is the raw
+    DP, and the one that takes a fixed decomposition.
     """
+    if sigma in CLOSED_FORM_SEMANTICS:
+        return rounded(closed_form(paf, sigma, S), mode)
     value, _ = query_ext(paf, sigma, S, lambda instance: solve(instance, sigma, S, mode=mode).exact)
     return rounded(value, mode)
+
+
+def closed_form(paf: PAF, sigma: str, S) -> Fraction:
+    """The exact probability that S is an adm or stb extension, as the
+    product of the module docstring, in one pass over the attacks."""
+    if sigma not in CLOSED_FORM_SEMANTICS:
+        raise InputError(f"semantics {sigma!r} has no closed form")
+    S = paf.af.check_subset(S)
+    adm = sigma == "adm"
+    num = den = 1
+    onto: dict[str, list[int]] = {}  # b outside S -> [n, d] of q(S→b)
+    back: dict[str, list[int]] = {}  # b outside S -> [n, d] of q(b→S), adm only
+    for (x, y), p in paf.att_prob.items():
+        n, d = p.numerator, p.denominator
+        if x in S:
+            if y in S:
+                num, den = num * (d - n), den * d
+                continue
+            q = onto.setdefault(y, [1, 1])
+        elif y in S and adm:
+            q = back.setdefault(x, [1, 1])
+        else:
+            continue
+        q[0] *= d - n
+        q[1] *= d
+    for a, p in paf.arg_prob.items():
+        n, d = p.numerator, p.denominator
+        if a in S:
+            num, den = num * n, den * d
+            continue
+        # ok_b = ok_n / ok_d
+        s_n, s_d = onto.get(a, (1, 1))
+        if adm:
+            b_n, b_d = back.get(a, (1, 1))
+            ok_d = s_d * b_d
+            ok_n = ok_d - (b_d - b_n) * s_n
+        else:
+            ok_n, ok_d = s_d - s_n, s_d
+        num, den = num * ((d - n) * ok_d + n * ok_n), den * d * ok_d
+    return Fraction(num, den)
+
+
+def fixed_td(paf: PAF, td: TreeDecomposition) -> NiceTreeDecomposition:
+    """``td`` validated against ``paf`` (an invalid one is an ``InputError``)
+    and in nice form."""
+    violations = td.validate(paf.af)
+    if violations:
+        raise InputError("invalid tree-decomposition: " + "; ".join(violations))
+    return td if isinstance(td, NiceTreeDecomposition) else make_nice(td)
 
 
 def solve(
@@ -155,14 +221,10 @@ def solve(
 
     if td is None:
         td = make_nice(decompose(paf.af, heuristic=heuristic))
+    elif heuristic != "min-fill":
+        raise InputError("a given tree-decomposition takes no heuristic")
     else:
-        if heuristic != "min-fill":
-            raise InputError("a given tree-decomposition takes no heuristic")
-        violations = td.validate(paf.af)
-        if violations:
-            raise InputError("invalid tree-decomposition: " + "; ".join(violations))
-        if not isinstance(td, NiceTreeDecomposition):
-            td = make_nice(td)
+        td = fixed_td(paf, td)
 
     ctx = _Context(paf, S, sigma)
     tables: dict[int, tuple] = {}  # node -> (rows, denominator)

@@ -211,8 +211,12 @@ def parse_td(text: str):
 
 
 def _undirected_adjacency(af: AF) -> dict[str, set[str]]:
-    # self-attacks add no undirected edge
-    return {a: set(af.attackers(a) | af.targets(a)) - {a} for a in af.arguments}
+    adj: dict[str, set[str]] = {a: set() for a in af.arguments}
+    for x, y in af.attacks:
+        if x != y:  # a self-attack adds no undirected edge
+            adj[x].add(y)
+            adj[y].add(x)
+    return adj
 
 
 def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
@@ -250,14 +254,18 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             nbs = adj[v]
             return (len(nbs) * (len(nbs) - 1) - sum(len(nbs & adj[u]) for u in nbs)) // 2
     scores = {v: score(v) for v in adj}
-    tied: dict[int, list[str]] = {}  # score -> its sorted names; a score leaves with its last name
-    for v in sorted(scores):
-        tied.setdefault(scores[v], []).append(v)
+    # score -> the negated ranks of its names, ascending, so that the first
+    # name is the last entry; a score leaves with its last name
+    names = af.arguments
+    rank = {v: -i for i, v in enumerate(names)}
+    tied: dict[int, list[int]] = {}
+    for v in reversed(names):
+        tied.setdefault(scores[v], []).append(rank[v])
     out = []
     while scores:
         least = min(tied)
         ties = tied[least]
-        v = ties.pop(0 if rng is None else int(rng.integers(len(ties))))
+        v = names[-ties.pop(-1 if rng is None else -1 - int(rng.integers(len(ties))))]
         if not ties:
             del tied[least]
         out.append(v)
@@ -267,11 +275,11 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
             s = score(u)
             if s != scores[u]:
                 old = tied[scores[u]]
-                del old[bisect_left(old, u)]
+                del old[bisect_left(old, rank[u])]
                 if not old:
                     del tied[scores[u]]
                 scores[u] = s
-                insort(tied.setdefault(s, []), u)
+                insort(tied.setdefault(s, []), rank[u])
     return out
 
 

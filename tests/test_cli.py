@@ -56,6 +56,69 @@ def test_solve_with_td_file_and_trace(capsys):
     assert any("p=4/5" in line for line in rec["trace"])
 
 
+@pytest.mark.parametrize("semantics", ["stable", "admissible"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_closed_form_answers_as_the_traced_dp(semantics, mode, tmp_path, capsys):
+    grid = tmp_path / "grid.paf"
+    assert run(["generate", "--grid", "3x8", "--seed", "5"]) == 0
+    grid.write_text(capsys.readouterr().out)
+    for path in (CYCLE5, str(grid)):
+        argv = ["solve", path, "--semantics", semantics, "--mode", mode]
+        _, product = run_json(capsys, argv)
+        _, traced = run_json(capsys, argv + ["--trace"])
+        assert product["answer"] == traced["answer"]
+        assert product["answerDecimal"] == traced["answerDecimal"]
+        # no decomposition was needed, so the record has no shape
+        assert product["width"] is None and product["nodes"] is None
+        assert traced["width"] >= 1 and traced["nodes"] > 1
+        assert "trace" not in product and traced["trace"]
+
+
+@pytest.mark.parametrize("semantics", ["stable", "admissible"])
+def test_closed_form_with_a_fixed_td_reports_its_nice_form(semantics, tmp_path, capsys):
+    assert run(["decompose", CYCLE5]) == 0
+    plain = tmp_path / "plain.td"
+    plain.write_text(capsys.readouterr().out)
+    for td_file in (CYCLE5_TD, str(plain)):
+        nice = paftd.make_nice(paftd.parse_td(Path(td_file).read_text()))
+        _, rec = run_json(capsys, ["solve", CYCLE5, "--semantics", semantics, "--td-file", td_file])
+        assert rec["answer"] == "18/25"
+        assert (rec["width"], rec["nodes"]) == (nice.width(), nice.node_count())
+    _, rec = run_json(capsys, ["solve", CYCLE5, "--semantics", semantics, "--order", "a,b,c,d,e"])
+    af = paftd.parse_paf(Path(CYCLE5).read_text()).paf.af
+    nice = paftd.make_nice(paftd.decompose(af, order=["a", "b", "c", "d", "e"]))
+    assert (rec["width"], rec["nodes"]) == (nice.width(), nice.node_count())
+
+
+@pytest.mark.parametrize(
+    "td, message",
+    [
+        (
+            "bag 0 a b\nbag 1 b c\nedge 0 1\n",
+            "invalid tree-decomposition: argument d appears in no bag; argument e appears in no bag; "
+            "attack (a,d) is covered by no bag; attack (c,d) is covered by no bag; attack (d,a) is covered "
+            "by no bag; attack (d,c) is covered by no bag; attack (d,e) is covered by no bag; attack (e,d) "
+            "is covered by no bag",
+        ),
+        ("bag 0 a b\nbag 1 b c\nbag 2 c d\nedge 0 1\nedge 1 2\nedge 2 1\n",
+         "invalid tree-decomposition: tree-decomposition reaches node 1 twice"),
+    ],
+    ids=["uncovered", "cycle"],
+)
+@pytest.mark.parametrize("extra", [(), ("--trace",)], ids=["closed-form", "dp"])
+def test_invalid_td_file_under_stable_semantics_exits_3(td, message, extra, tmp_path, capsys):
+    td_file = tmp_path / "bad.td"
+    td_file.write_text(td)
+    assert run(["solve", CYCLE5, "--semantics", "stable", "--td-file", str(td_file), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    # an unknown query argument is reported before the decomposition, as the DP does
+    argv = ["solve", CYCLE5, "--semantics", "stable", "--td-file", str(td_file), "--set", "zz", *extra]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: unknown argument 'zz'\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(paftd.__file__).resolve().parents[1])
     proc = subprocess.run(

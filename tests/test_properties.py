@@ -1,17 +1,21 @@
-"""Differential and metamorphic properties of the P-Ext DP.
+"""Differential and metamorphic properties of the P-Ext DP and closed form.
 
 Small PAFs (0-5 arguments; self-attacks, disconnected graphs and empty query
 sets allowed) are checked against the scenario oracle and the extension
 enumerator, and against laws any correct solver must obey: renaming,
-disjoint unions and isolated certain arguments.
+disjoint unions and isolated certain arguments.  Acyclic PAFs of up to a
+few hundred arguments, beyond the oracle's reach, check the DP against the
+adm and stb closed form.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paftd import AF, PAF, extensions, p_ext_oracle, solve
+from paftd.solver import closed_form
 
 SEMANTICS = ("adm", "com", "stb")
 MAX_UNCERTAIN = 8  # keeps the oracle at <= 256 scenarios
@@ -45,6 +49,47 @@ def pafs(draw, prefix="x", max_args=5):
         table[key] = Fraction(1)
     paf = PAF(AF(names, attacks), arg_prob, att_prob)
     S = frozenset(a for a in names if draw(st.booleans()))
+    return paf, S
+
+
+@st.composite
+def acyclic_pafs(draw, max_args=300, max_band=3):
+    """An acyclic PAF without self-attacks and a query set.  Arguments
+    ``x000, x001, ...`` in a line may attack those at most ``band`` places on,
+    so the treewidth is at most ``band``; each attack runs from the earlier
+    argument in a random topological order, or along the line for a chain.
+    Probabilities are drawn like ``probability``'s, and the set is the
+    grounded extension of the all-present framework (nonzero under com and
+    stb) or a random one.  A seeded ``Random`` draws the details, which
+    Hypothesis would draw too slowly and too simply at this size."""
+    n = draw(st.integers(1, max_args))
+    band = draw(st.integers(1, max_band))
+    chain = draw(st.booleans())
+    grounded = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def p():
+        d = rnd.choice((1, 10, rnd.choice(COPRIME_DENOMINATORS)))
+        return Fraction(rnd.randint(1, d - 1), d) if d > 1 else Fraction(1)
+
+    names = [f"x{i:03d}" for i in range(n)]
+    topo = list(range(n)) if chain else rnd.sample(range(n), n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, min(i + band + 1, n))]
+    kept = [(i, j) for i, j in pairs if chain and j == i + 1 or rnd.random() < 0.6]
+    edges = [(i, j) if topo[i] < topo[j] else (j, i) for i, j in kept]
+    attacks = [(names[i], names[j]) for i, j in edges]
+    paf = PAF(AF(names, attacks), {a: p() for a in names}, {r: p() for r in attacks})
+    if grounded:
+        attackers: dict[int, list[int]] = {j: [] for j in range(n)}
+        for i, j in edges:
+            attackers[j].append(i)
+        members: set[int] = set()
+        for j in sorted(range(n), key=topo.__getitem__):  # attackers first
+            if members.isdisjoint(attackers[j]):
+                members.add(j)
+        S = frozenset(names[j] for j in members)
+    else:
+        S = frozenset(a for a in names if rnd.random() < 0.4)
     return paf, S
 
 
@@ -115,3 +160,21 @@ def test_isolated_certain_argument_is_forced_in(case):
         value = dp(paf, sigma, S)
         assert dp(extended, sigma, S | {iso}) == value
         assert dp(extended, sigma, S) == (value if sigma == "adm" else 0)
+
+
+@PROPERTY
+@given(pafs())
+def test_closed_form_matches_dp_and_oracle(case):
+    paf, S = case
+    for sigma in ("adm", "stb"):
+        assert closed_form(paf, sigma, S) == dp(paf, sigma, S) == p_ext_oracle(paf, sigma, S)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(acyclic_pafs())
+def test_acyclic_dp_matches_the_closed_form(case):
+    # an acyclic AF has one complete extension, and it is stable (Dung 1995);
+    # every scenario of an acyclic AF is acyclic, so P-Ext(com) = P-Ext(stb)
+    paf, S = case
+    assert dp(paf, "com", S) == dp(paf, "stb", S) == closed_form(paf, "stb", S)
+    assert dp(paf, "adm", S) == closed_form(paf, "adm", S)

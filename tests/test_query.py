@@ -92,6 +92,24 @@ def test_library_p_ext_hands_the_reduced_instance_to_the_dp(chain5, monkeypatch)
     assert seen == [("a", "b", "c", "e")]
 
 
+def test_library_p_ext_answers_adm_and_stb_without_the_dp(chain5, monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran")
+
+    S = {"a", "c", "e"}
+    expected = {sigma: p_ext_oracle(chain5, sigma, S) for sigma in ("adm", "stb")}
+    monkeypatch.setattr(solver, "solve", no_dp)
+    for sigma, value in expected.items():
+        assert p_ext(chain5, sigma, S) == value
+        assert p_ext(chain5, sigma, S, mode="float") == float(value)
+    with pytest.raises(InputError, match="unknown argument 'zz'"):
+        p_ext(chain5, "stb", {"zz"})
+    with pytest.raises(InputError):
+        p_ext(chain5, "adm", S, mode="decimal")
+    with pytest.raises(InputError, match="semantics 'com' has no closed form"):
+        solver.closed_form(chain5, "com", S)
+
+
 def test_float_answer_after_preprocessing_is_rounded_once():
     rnd = random.Random(44)
     reduced = 0
