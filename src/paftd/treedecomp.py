@@ -1,13 +1,14 @@
 """Tree-decompositions of the undirected attack graph, and their nice form.
 
-Decompositions are built from a greedy elimination ordering (min-fill by
-default, scored incrementally: Bodlaender & Koster, 2010; the least score is
-read from the live score buckets) with the usual bag-tree assembly: the bag
-of an eliminated vertex hangs below the bag of its first-eliminated
-remaining neighbor.  A decomposition is three dicts over integer node ids:
-``bags``, ``children`` and the ``root``.  A nice decomposition is the same
-tree with two more per-node dicts, ``kind`` (leaf, introduce, forget or
-join) and ``arg`` (the argument an introduce or forget node adds or drops).
+Decompositions take their bags from the ordering's own elimination, a
+greedy one (min-fill by default, scored incrementally: Bodlaender & Koster,
+2010; the least score is read from the live score buckets) or a given one:
+the bag of a vertex is it and its neighbors when it is eliminated, and hangs
+below the bag of its first-eliminated neighbor.  A decomposition is three
+dicts over integer node ids: ``bags``, ``children`` and the ``root``.  A
+nice decomposition is the same tree with two more per-node dicts, ``kind``
+(leaf, introduce, forget or join) and ``arg`` (the argument an introduce or
+forget node adds or drops).
 ``make_nice`` rewrites any valid decomposition into one with empty root and
 leaf bags, preserving the width exactly, through two closures: ``add`` makes
 a node and ``chain`` links two bags by forgets, then introduces.
@@ -107,10 +108,7 @@ class NiceTreeDecomposition(TreeDecomposition):
     arg: dict[int, str | None]
 
     def validate(self, af: AF) -> list[str]:
-        return super().validate(af) + self._validate_shape()
-
-    def _validate_shape(self) -> list[str]:
-        v = []
+        v = super().validate(af)
         if self.root not in self.bags:
             v.append(f"root {self.root} is not a bag")
         elif self.bags[self.root]:
@@ -127,20 +125,16 @@ class NiceTreeDecomposition(TreeDecomposition):
                     v.append(f"leaf node {t} has children")
                 if bag:
                     v.append(f"leaf node {t} has a non-empty bag")
-            elif kind == INTRO:
+            elif kind in (INTRO, FORGET):
+                name, verb = ("introduce", "add") if kind == INTRO else ("forget", "drop")
                 if len(kids) != 1:
-                    v.append(f"introduce node {t} must have one child")
+                    v.append(f"{name} node {t} must have one child")
                     continue
                 child = self.bags.get(kids[0], frozenset())
-                if a is None or a in child or bag != child | {a}:
-                    v.append(f"introduce node {t} does not add exactly {a!r}")
-            elif kind == FORGET:
-                if len(kids) != 1:
-                    v.append(f"forget node {t} must have one child")
-                    continue
-                child = self.bags.get(kids[0], frozenset())
-                if a is None or a not in child or bag != child - {a}:
-                    v.append(f"forget node {t} does not drop exactly {a!r}")
+                # one rule both ways: the smaller bag lacks a, the larger is it plus a
+                small, large = (child, bag) if kind == INTRO else (bag, child)
+                if a is None or a in small or large != small | {a}:
+                    v.append(f"{name} node {t} does not {verb} exactly {a!r}")
             elif kind == JOIN:
                 if len(kids) != 2:
                     v.append(f"join node {t} must have two children")
@@ -210,15 +204,6 @@ def parse_td(text: str):
     return NiceTreeDecomposition(bags, children, root, kind, arg)
 
 
-def _undirected_adjacency(af: AF) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {a: set() for a in af.arguments}
-    for x, y in af.attacks:
-        if x != y:  # a self-attack adds no undirected edge
-            adj[x].add(y)
-            adj[y].add(x)
-    return adj
-
-
 def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
     """Remove ``v`` from the graph, join its neighbors pairwise (fill edges)
     and return them."""
@@ -229,13 +214,9 @@ def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
     return nbs
 
 
-def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None):
-    """An elimination ordering of the attack graph's vertices: ``order`` if
-    given (a permutation of the arguments; no ``rng`` or other heuristic then),
-    else a least-score vertex at each step, the first by name or, with ``rng``,
-    a random one.  An elimination of ``v`` rescores only what it can change:
-    the degree of ``N(v)``, or the fill-in of ``N(v) ∪ N(N(v))`` after the fill
-    edges (Bodlaender & Koster, *Treewidth computations I*, 2010)."""
+def _elimination(af: AF, heuristic: str, order, rng) -> list[tuple[str, set[str]]]:
+    """Each vertex of the attack graph, in ``elimination_order``'s order,
+    with its neighbors at the moment it is eliminated."""
     if heuristic not in HEURISTICS:
         raise InputError(f"unknown heuristic {heuristic!r}")
     if order is not None:
@@ -244,9 +225,15 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
         order = list(order)
         if sorted(order, key=str) != list(af.arguments):
             raise InputError("ordering is not a permutation of the arguments")
-        return order
 
-    adj = _undirected_adjacency(af)
+    adj: dict[str, set[str]] = {a: set() for a in af.arguments}
+    for x, y in af.attacks:
+        if x != y:  # a self-attack adds no undirected edge
+            adj[x].add(y)
+            adj[y].add(x)
+    if order is not None:
+        return [(v, _eliminate(adj, v)) for v in order]
+
     if heuristic == "min-degree":
         score = lambda v: len(adj[v])
     else:  # d(d-1) ordered pairs among v's d neighbors, less the adjacent ones (seen from both ends)
@@ -268,9 +255,9 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
         v = names[-ties.pop(-1 if rng is None else -1 - int(rng.integers(len(ties))))]
         if not ties:
             del tied[least]
-        out.append(v)
         del scores[v]
         nbs = _eliminate(adj, v)
+        out.append((v, nbs))
         for u in nbs if heuristic == "min-degree" else nbs.union(*(adj[u] for u in nbs)):
             s = score(u)
             if s != scores[u]:
@@ -283,19 +270,29 @@ def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None)
     return out
 
 
+def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None):
+    """An elimination ordering of the attack graph's vertices: ``order`` if
+    given (a permutation of the arguments; no ``rng`` or other heuristic then),
+    else a least-score vertex at each step, the first by name or, with ``rng``,
+    a random one.  An elimination of ``v`` rescores only what it can change:
+    the degree of ``N(v)``, or the fill-in of ``N(v) ∪ N(N(v))`` after the fill
+    edges (Bodlaender & Koster, *Treewidth computations I*, 2010)."""
+    return [v for v, _ in _elimination(af, heuristic, order, rng)]
+
+
 def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> TreeDecomposition:
-    """Tree-decomposition via elimination ordering and bag-tree assembly."""
-    order = elimination_order(af, heuristic, order, rng)
-    if not order:
+    """Tree-decomposition from the ordering's own elimination: the bag of the
+    i-th eliminated vertex is it with its neighbors then, below the bag of its
+    first-eliminated neighbor, or the root's if it has none."""
+    steps = _elimination(af, heuristic, order, rng)
+    if not steps:
         return TreeDecomposition({0: frozenset()}, {0: ()}, 0)
 
-    adj = _undirected_adjacency(af)
-    position = {v: i for i, v in enumerate(order)}
-    root = len(order) - 1
+    position = {v: i for i, (v, _) in enumerate(steps)}
+    root = len(steps) - 1
     bags: dict[int, frozenset[str]] = {}
-    children: dict[int, list[int]] = {i: [] for i in range(len(order))}
-    for i, v in enumerate(order):
-        nbs = _eliminate(adj, v)
+    children: dict[int, list[int]] = {i: [] for i in range(len(steps))}
+    for i, (v, nbs) in enumerate(steps):
         bags[i] = frozenset(nbs | {v})
         p = min((position[u] for u in nbs), default=root)  # other components hang below the root
         if p != i:

@@ -261,6 +261,20 @@ def test_decompose_and_validate(tmp_path, capsys):
     assert rec["ok"]
 
 
+def test_seeded_decompose_prints_the_seeded_decomposition(capsys):
+    import numpy as np
+
+    af = paftd.parse_paf(Path(CYCLE5).read_text()).paf.af
+    printed = []
+    for _ in range(2):
+        assert run(["decompose", CYCLE5, "--seed", "5"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert paftd.parse_td(printed[0]).validate(af) == []
+    assert printed[0] == paftd.decompose(af, rng=np.random.default_rng(5)).serialize()
+    assert printed[0] != paftd.decompose(af).serialize()  # seed 5 breaks cycle5's ties otherwise
+
+
 def test_validate_td_reports_mismatch(tmp_path, capsys):
     td_file = tmp_path / "bad.td"
     td_file.write_text("bag 0 a\n")

@@ -72,6 +72,7 @@ def test_extensions_on_chain():
     assert frozenset({"a", "c"}) in extensions(af, "stb")
     assert frozenset() in extensions(af, "adm")
     assert extensions(af, "com") == {frozenset({"a", "c"})}
+    assert extensions(af, "cf") == {frozenset(s) for s in ("", "a", "b", "c", "ac")}
 
 
 def test_grounded_matches_minimal_complete():
@@ -223,6 +224,9 @@ def test_certain_respecting_subframeworks():
     assert not is_certain_respecting(
         paf, Subframework(frozenset(["a", "b"]), frozenset())
     )
+    # an argument or an attack outside the PAF, and an attack with an absent endpoint
+    for args, atts in (("az", []), ("ab", [("a", "b"), ("b", "a")]), ("a", [("a", "b")])):
+        assert not is_certain_respecting(paf, Subframework(frozenset(args), frozenset(atts)))
 
 
 def test_subframework_probability_product():
@@ -234,3 +238,5 @@ def test_subframework_probability_product():
     assert subframework_probability(paf, both) == Fraction(4, 5) * Fraction(1, 2) * Fraction(7, 10)
     only_a = Subframework(frozenset(["a"]), frozenset())
     assert subframework_probability(paf, only_a) == Fraction(4, 5) * Fraction(1, 2)
+    with pytest.raises(InputError, match="violates the certain part of the PAF"):
+        subframework_probability(PAF(af, {"a": 1, "b": 1}, {("a", "b"): 1}), only_a)

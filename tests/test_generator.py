@@ -60,7 +60,7 @@ def test_attacks_only_between_grid_neighbors():
 
 
 def test_treewidth_bounded_by_short_dimension():
-    for rows, cols, seed in ((3, 10, 1), (2, 8, 2), (4, 4, 3)):
+    for rows, cols, seed in ((3, 10, 1), (2, 8, 2), (4, 4, 3), (10, 3, 1)):
         spec = GridSpec(rows, cols, seed)
         paf, _ = generate_grid(spec)
         td = decompose(paf.af, order=grid_elimination_order(spec))

@@ -18,6 +18,7 @@ from paftd import (
     decompose,
     elimination_order,
     generate_grid,
+    grid_elimination_order,
     make_nice,
     parse_paf,
     parse_td,
@@ -135,6 +136,46 @@ def test_order_equals_the_full_rescore_reference():
                 rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
                 want = reference_order(af, heuristic, rngs[0])
                 assert elimination_order(af, heuristic, rng=rngs[1]) == want, (af, heuristic, seed)
+
+
+def reference_decomposition(af, order):
+    """The bag tree of ``order`` eliminated again on a fresh adjacency: the
+    bag of a vertex is it and its neighbors when it goes, below the bag of its
+    first-eliminated neighbor, or the root's when there is none."""
+    adj = {a: set() for a in af.arguments}
+    for x, y in af.attacks:
+        if x != y:
+            adj[x].add(y)
+            adj[y].add(x)
+    position = {v: i for i, v in enumerate(order)}
+    root = len(order) - 1
+    bags, children = {}, {i: [] for i in range(len(order))}
+    for i, v in enumerate(order):
+        nbs = adj.pop(v)
+        for u in nbs:
+            adj[u].discard(v)
+            adj[u] |= nbs - {u}
+        bags[i] = frozenset(nbs | {v})
+        p = min((position[u] for u in nbs), default=root)
+        if p != i:
+            children[p].append(i)
+    return TreeDecomposition(bags, {i: tuple(c) for i, c in children.items()}, root)
+
+
+def test_decompose_equals_the_replayed_elimination():
+    rnd = random.Random(34)
+    afs = [random_paf(rnd).af for _ in range(60)]
+    cases = [(af, rnd.sample(af.arguments, len(af.arguments))) for af in afs]
+    for spec in (GridSpec(4, 30, 2), GridSpec(2, 300, 1), GridSpec(3, 3, 2)):
+        cases.append((generate_grid(spec)[0].af, grid_elimination_order(spec)))
+    for af, given in cases:
+        assert decompose(af, order=given) == reference_decomposition(af, given)
+        for heuristic in HEURISTICS:
+            for seed in (None, 0, 3):
+                rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
+                order = elimination_order(af, heuristic, rng=rngs[0])
+                td = decompose(af, heuristic, rng=rngs[1])
+                assert td == reference_decomposition(af, order), (af, heuristic, seed)
 
 
 def test_wide_fan_out_builds_in_linear_time():
