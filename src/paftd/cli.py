@@ -97,16 +97,9 @@ def _cmd_solve(args) -> int:
     else:
         def engine(instance):
             nonlocal result
-            result = solver.solve(
-                instance,
-                sigma,
-                S,
-                mode=args.mode,
-                td=td,
-                heuristic=args.heuristic,
-                trace=args.trace,
-                deadline=deadline,
-            )
+            # --heuristic decomposes the instance that preprocessing left
+            given = td if args.heuristic is None else treedecomp.decompose(instance.af, heuristic=args.heuristic)
+            result = solver.solve(instance, sigma, S, mode=args.mode, td=given, trace=args.trace, deadline=deadline)
             return result.exact
 
         # a TD describes the unreduced instance, so a fixed one turns preprocessing off
@@ -257,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("float", "rational"), default="rational")
     td_source = solve.add_mutually_exclusive_group()
     td_source.add_argument("--td-file", help="replay a fixed (nice) tree-decomposition")
-    td_source.add_argument("--heuristic", choices=treedecomp.HEURISTICS, default="min-fill")
+    td_source.add_argument("--heuristic", choices=treedecomp.HEURISTICS, help="default min-fill")
     td_source.add_argument("--order", type=_parse_list, help="a fixed elimination order")
     solve.add_argument("--preprocess", choices=("on", "off"), default="on")
     solve.add_argument("--timeout", type=float, default=300.0, help="seconds (default 300); 0 means no limit")

@@ -97,15 +97,20 @@ class AF:
     __slots__ = ("arguments", "attacks", "_attackers", "_targets")
 
     def __init__(self, arguments, attacks=()):
-        args = tuple(sorted(set(arguments)))
-        for a in args:
-            if not is_valid_arg_name(a):
-                raise InputError(f"invalid argument name {a!r}")
+        names = list(arguments)
+        bad = [a for a in names if not is_valid_arg_name(a)]
+        if bad:  # names are checked before they are sorted, which a non-string would break
+            raise InputError(f"invalid argument name {min(bad, key=str)!r}")
+        args = tuple(sorted(set(names)))
         argset = frozenset(args)
         atts = set()
         for att in attacks:
-            x, y = att
-            if x not in argset or y not in argset:
+            try:
+                x, y = att
+                declared = x in argset and y in argset
+            except (TypeError, ValueError):
+                raise InputError(f"attack {att!r} is not a pair of arguments") from None
+            if not declared:
                 raise InputError(f"attack {att!r} has an undeclared endpoint")
             atts.add((x, y))
         self.arguments: tuple[str, ...] = args

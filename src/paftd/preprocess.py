@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import PAF
+from .errors import InputError
 
 __all__ = ["ForcedLabeling", "forced_labeling", "simplify_for_ext", "simplify_for_acc", "ExtSimplification", "query_ext"]
 
@@ -25,7 +26,7 @@ class ForcedLabeling:
 
     def __post_init__(self):
         if self.forced_in & self.forced_out:
-            raise ValueError("an argument cannot be forced both in and out")
+            raise InputError("an argument cannot be forced both in and out")
 
 
 def forced_labeling(paf: PAF) -> ForcedLabeling:

@@ -200,31 +200,24 @@ def solve(
     S,
     mode: str = "rational",
     td: TreeDecomposition | None = None,
-    heuristic: str = "min-fill",
     trace: bool = False,
     deadline: float | None = None,
 ) -> SolveResult:
     """Run the DP: the probability that S is a sigma-extension of ``paf``.
 
-    ``td`` may be plain or nice; it is validated against ``paf`` and made
-    nice if plain.  A fixed elimination order is passed as
-    ``td=decompose(paf.af, order=...)``.  ``heuristic`` builds the
-    decomposition when ``td`` is None; a non-default ``heuristic`` given with
-    a ``td`` is an ``InputError``.  With ``trace`` the result's ``trace``
-    holds the per-node table dump.  ``deadline`` (a ``time.monotonic()``
-    value) is checked between nodes.
+    With ``td`` None the DP runs on ``make_nice(decompose(paf.af))``.  Any
+    other decomposition is passed as ``td=decompose(paf.af, heuristic=...)``
+    or ``td=decompose(paf.af, order=...)``, or read by ``parse_td``; it may be
+    plain or nice, and is validated against ``paf`` and made nice if plain.
+    With ``trace`` the result's ``trace`` holds the per-node table dump.
+    ``deadline`` (a ``time.monotonic()`` value) is checked between nodes.
     """
     if sigma not in DP_SEMANTICS:
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
     S = paf.af.check_subset(S)
     rounded(0, mode)  # rejects an unknown mode before the DP runs
 
-    if td is None:
-        td = make_nice(decompose(paf.af, heuristic=heuristic))
-    elif heuristic != "min-fill":
-        raise InputError("a given tree-decomposition takes no heuristic")
-    else:
-        td = fixed_td(paf, td)
+    td = make_nice(decompose(paf.af)) if td is None else fixed_td(paf, td)
 
     ctx = _Context(paf, S, sigma)
     tables: dict[int, tuple] = {}  # node -> (rows, denominator)

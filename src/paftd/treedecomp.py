@@ -215,8 +215,8 @@ def _eliminate(adj: dict[str, set[str]], v: str) -> set[str]:
 
 
 def _elimination(af: AF, heuristic: str, order, rng) -> list[tuple[str, set[str]]]:
-    """Each vertex of the attack graph, in ``elimination_order``'s order,
-    with its neighbors at the moment it is eliminated."""
+    """Each vertex of the attack graph, in the given ``order`` or else the
+    greedy one, with its neighbors at the moment it is eliminated."""
     if heuristic not in HEURISTICS:
         raise InputError(f"unknown heuristic {heuristic!r}")
     if order is not None:
@@ -270,14 +270,13 @@ def _elimination(af: AF, heuristic: str, order, rng) -> list[tuple[str, set[str]
     return out
 
 
-def elimination_order(af: AF, heuristic: str = "min-fill", order=None, rng=None):
-    """An elimination ordering of the attack graph's vertices: ``order`` if
-    given (a permutation of the arguments; no ``rng`` or other heuristic then),
-    else a least-score vertex at each step, the first by name or, with ``rng``,
-    a random one.  An elimination of ``v`` rescores only what it can change:
+def elimination_order(af: AF, heuristic: str = "min-fill", rng=None):
+    """A greedy elimination ordering of the attack graph's vertices: a
+    least-score vertex at each step, the first by name or, with ``rng``, a
+    random one.  An elimination of ``v`` rescores only what it can change:
     the degree of ``N(v)``, or the fill-in of ``N(v) ∪ N(N(v))`` after the fill
     edges (Bodlaender & Koster, *Treewidth computations I*, 2010)."""
-    return [v for v, _ in _elimination(af, heuristic, order, rng)]
+    return [v for v, _ in _elimination(af, heuristic, None, rng)]
 
 
 def decompose(af: AF, heuristic: str = "min-fill", order=None, rng=None) -> TreeDecomposition:

@@ -140,8 +140,8 @@ def test_criterion_5_decomposition_invariance():
         paf = random_paf(rnd, max_args=7)
         S = random_subset(rnd, paf)
         results = {
-            solve(paf, "com", S, heuristic="min-fill").value,
-            solve(paf, "com", S, heuristic="min-degree").value,
+            solve(paf, "com", S, td=decompose(paf.af, heuristic="min-fill")).value,
+            solve(paf, "com", S, td=decompose(paf.af, heuristic="min-degree")).value,
         }
         names = list(paf.af.arguments)
         for _ in range(5):

@@ -530,6 +530,31 @@ def test_solve_order_fixes_the_decomposition(capsys):
     assert rec["preprocess"] == "off"
 
 
+@pytest.mark.parametrize("semantics", ["complete", "stable"])
+@pytest.mark.parametrize("extra", [[], ["--trace"]], ids=["plain", "trace"])
+def test_solve_heuristic_decomposes_the_preprocessed_instance(semantics, extra, tmp_path, capsys):
+    """``--heuristic min-fill`` prints the default record, and every heuristic
+    the same answer.  The grid's complete query loses arguments to
+    preprocessing, so a decomposition of the file's instance would fail
+    validation, and preprocessing turned off would change the record."""
+    grid = tmp_path / "grid.paf"
+    assert run(["generate", "--grid", "3x8", "--seed", "5"]) == 0
+    grid.write_text(capsys.readouterr().out)
+    assert run_json(capsys, ["preprocess", str(grid)])[1]["removed"]
+    for path in (CYCLE5, str(grid)):
+        records = []
+        for heuristic in ([], ["--heuristic", "min-fill"], ["--heuristic", "min-degree"]):
+            code, rec = run_json(capsys, ["solve", path, "--semantics", semantics, *heuristic, *extra])
+            assert code == 0
+            del rec["wallMillis"]
+            records.append(rec)
+        default, min_fill, min_degree = records
+        assert min_fill == default
+        assert min_degree["answer"] == default["answer"]
+        assert min_degree["preprocess"] == default["preprocess"]
+    assert default["preprocess"] == ("on" if semantics == "complete" else "off")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

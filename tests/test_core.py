@@ -12,6 +12,7 @@ from paftd import (
     AF,
     PAF,
     CapacityError,
+    ForcedLabeling,
     InputError,
     Subframework,
     defends,
@@ -45,6 +46,13 @@ def test_af_rejects_undeclared_endpoint_and_bad_names():
         AF(["a b"])
     with pytest.raises(InputError):
         AF(["#x"])
+    # malformed library input is an InputError too, not a TypeError or ValueError
+    with pytest.raises(InputError, match="^invalid argument name 1$"):
+        AF(["a", 1])
+    with pytest.raises(InputError, match=r"^attack \('a',\) is not a pair of arguments$"):
+        AF(["a"], [("a",)])
+    with pytest.raises(InputError, match="^an argument cannot be forced both in and out$"):
+        ForcedLabeling(frozenset("ab"), frozenset("b"))
 
 
 def test_attackers_and_targets():
@@ -211,6 +219,8 @@ def test_paf_rejects_zero_probability_and_bad_coverage():
         PAF(AF(["a", "b"], [("a", "b")]), {"a": 1, "b": 1}, {("a", "b"): Fraction(0)})
     with pytest.raises(InputError):
         PAF(af, {}, {})
+    with pytest.raises(InputError, match="attack probabilities do not cover the attacks"):
+        PAF(AF(["a", "b"], [("a", "b")]), {"a": 1, "b": 1}, {})
 
 
 def test_certain_respecting_subframeworks():

@@ -4,8 +4,8 @@ Small PAFs (0-5 arguments; self-attacks, disconnected graphs and empty query
 sets allowed) are checked against the scenario oracle and the extension
 enumerator, and against laws any correct solver must obey: renaming,
 disjoint unions and isolated certain arguments.  Acyclic PAFs of up to a
-few hundred arguments, beyond the oracle's reach, check the DP against the
-adm and stb closed form.
+few hundred arguments, and generated grids of up to 160, beyond the oracle's
+reach, check the DP against the adm and stb closed form.
 """
 
 import random
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paftd import AF, PAF, extensions, p_ext_oracle, solve
+from paftd import AF, PAF, GridSpec, extensions, generate_grid, grounded_extension, p_ext_oracle, solve
 from paftd.solver import closed_form
 
 SEMANTICS = ("adm", "com", "stb")
@@ -178,3 +178,14 @@ def test_acyclic_dp_matches_the_closed_form(case):
     paf, S = case
     assert dp(paf, "com", S) == dp(paf, "stb", S) == closed_form(paf, "stb", S)
     assert dp(paf, "adm", S) == closed_form(paf, "adm", S)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.builds(GridSpec, st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1)))
+def test_grid_dp_matches_the_closed_form(spec):
+    # grids have mutual attacks, which the acyclic property never draws
+    paf, query = generate_grid(spec)
+    certain = {a for a in paf.af.arguments if paf.arg_certain(a)}
+    for S in (query, query | certain, grounded_extension(paf.af)):
+        for sigma in ("adm", "stb"):
+            assert dp(paf, sigma, S) == closed_form(paf, sigma, S), (spec, sorted(S), sigma)

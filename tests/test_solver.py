@@ -361,14 +361,18 @@ def test_forget_decides_each_local_pattern_once(monkeypatch):
         solve(grid, sigma, query, td=td)
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [{"heuristic": "nope"}, {"heuristic": "min-degree"}],
-    ids=["unknown", "heuristic"],
-)
-def test_given_td_takes_no_heuristic_or_order(cycle5, extra):
-    with pytest.raises(InputError, match="a given tree-decomposition takes no heuristic"):
-        solve(cycle5, "com", {"a", "c", "e"}, td=decompose(cycle5.af), **extra)
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
+def test_a_heuristic_reaches_solve_only_as_a_td(heuristic):
+    """``solve`` builds the min-fill decomposition when given none; any
+    heuristic's decomposition may be passed plain or nice, to the same result."""
+    grid, S = generate_grid(GridSpec(3, 8, 5))  # min-fill and min-degree differ here
+    td = decompose(grid.af, heuristic=heuristic)
+    assert (td == decompose(grid.af)) == (heuristic == "min-fill")
+    given = solve(grid, "com", S, td=td, trace=True)
+    if heuristic == "min-fill":
+        assert solve(grid, "com", S, trace=True) == given
+    assert solve(grid, "com", S, td=make_nice(td), trace=True) == given
+    assert given.value == solve(grid, "com", S).value
 
 
 def test_trace_lists_only_the_witnesses_a_check_reads():
