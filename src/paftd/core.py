@@ -79,6 +79,16 @@ def as_probability(value) -> Fraction:
     return p
 
 
+def _pair(att) -> Attack:
+    """``att`` as an ``(x, y)`` tuple of hashable endpoints."""
+    try:
+        x, y = att
+        hash((x, y))
+    except (TypeError, ValueError):
+        raise InputError(f"attack {att!r} is not a pair of arguments") from None
+    return x, y
+
+
 def exact_text(value: Fraction) -> str:
     """``str(value)``, also past Python's int-to-string digit limit: the
     digits come from ``Decimal``, which that limit does not cover."""
@@ -97,7 +107,10 @@ class AF:
     __slots__ = ("arguments", "attacks", "_attackers", "_targets")
 
     def __init__(self, arguments, attacks=()):
-        names = list(arguments)
+        try:
+            names, attacks = list(arguments), list(attacks)
+        except TypeError:
+            raise InputError("an AF takes an iterable of arguments and one of attacks") from None
         bad = [a for a in names if not is_valid_arg_name(a)]
         if bad:  # names are checked before they are sorted, which a non-string would break
             raise InputError(f"invalid argument name {min(bad, key=str)!r}")
@@ -105,12 +118,8 @@ class AF:
         argset = frozenset(args)
         atts = set()
         for att in attacks:
-            try:
-                x, y = att
-                declared = x in argset and y in argset
-            except (TypeError, ValueError):
-                raise InputError(f"attack {att!r} is not a pair of arguments") from None
-            if not declared:
+            x, y = _pair(att)
+            if x not in argset or y not in argset:
                 raise InputError(f"attack {att!r} has an undeclared endpoint")
             atts.add((x, y))
         self.arguments: tuple[str, ...] = args
@@ -136,7 +145,10 @@ class AF:
             raise InputError(f"unknown argument {a!r}")
 
     def check_subset(self, S) -> frozenset[str]:
-        S = frozenset(S)
+        try:
+            S = frozenset(S)
+        except TypeError:
+            raise InputError(f"query set {S!r} is not a set of argument names") from None
         for a in S:
             self._check_member(a)
         return S
@@ -231,10 +243,14 @@ class PAF:
     __slots__ = ("af", "arg_prob", "att_prob")
 
     def __init__(self, af: AF, arg_prob, att_prob):
-        arg_prob = {a: as_probability(p) for a, p in dict(arg_prob).items()}
-        att_prob = {
-            (x, y): as_probability(p) for (x, y), p in dict(att_prob).items()
-        }
+        if not isinstance(af, AF):
+            raise InputError(f"{af!r} is not an AF")
+        try:
+            arg_prob, att_prob = dict(arg_prob), dict(att_prob)
+        except (TypeError, ValueError):
+            raise InputError("a PAF takes its probabilities as mappings") from None
+        arg_prob = {a: as_probability(p) for a, p in arg_prob.items()}
+        att_prob = {_pair(r): as_probability(p) for r, p in att_prob.items()}
         if set(arg_prob) != set(af.arguments):
             raise InputError("argument probabilities do not cover the arguments")
         if set(att_prob) != set(af.attacks):

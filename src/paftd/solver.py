@@ -4,8 +4,13 @@ Tables are computed bottom-up.  A row is a state ``(present, und, w)`` of
 three int bitmasks with a mass ``p``; a table groups its rows by structure,
 ``{(present, und): {w: p}}``, and stores no empty group.  ``present``
 (the bag arguments in the scenario), ``und`` (those labeled undecided) and
-``w`` (the witnessed ones) hold one bit per argument in canonical order, so
-introducing or forgetting an argument never re-indexes a row.  No label is
+``w`` (the witnessed ones) hold one bit per argument, its slot: walking the
+tree top-down, an argument takes at its forget the least slot its bag's
+other members leave free, and keeps it in every bag below.  So introducing
+or forgetting an argument never re-indexes a row, and width + 1 slots
+suffice: the bags holding an argument form a subtree, and subtrees of a
+tree intersect as a chordal graph whose largest clique is the largest bag
+(Gavril, *J. Comb. Theory B* 16, 1974).  No label is
 stored: a present member of S is in, any other present argument is
 undecided if it is in ``und`` and out otherwise.  A bit of ``w`` means an
 in-labeled attacker of an out argument, or an undecided attacker of an
@@ -218,13 +223,14 @@ def solve(
     rounded(0, mode)  # rejects an unknown mode before the DP runs
 
     td = make_nice(decompose(paf.af)) if td is None else fixed_td(paf, td)
+    order = td.post_order()
 
-    ctx = _Context(paf, S, sigma)
+    ctx = _Context(paf, S, sigma, td, order)
     tables: dict[int, tuple] = {}  # node -> (rows, denominator)
     stats: dict[int, NodeStats] = {}
     trace_lines: list[str] | None = [] if trace else None
 
-    for t in td.post_order():
+    for t in order:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded("solver ran out of time")
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
@@ -233,8 +239,9 @@ def solve(
         if kind == INTRO:
             rows = _introduce(rows, a, ctx)
         elif kind == FORGET:
-            decided, decided_den = ctx.decided(a, ctx.mask(bag) | ctx.bit[a])
-            rows, den = _forget(rows, a, decided, ctx), den * decided_den
+            child_bag = td.bags[kids[0]]  # bag | {a}
+            decided, decided_den = ctx.decided(a, child_bag)
+            rows, den = _forget(rows, a, decided, ctx.mask(child_bag & S), ctx), den * decided_den
         elif kind == JOIN:
             right, right_den = tables.pop(kids[1])
             rows, den = _join(rows, right), den * right_den
@@ -255,42 +262,50 @@ def _weights(p: Fraction):
 
 class _Context:
     """Per-solve constants: the int weights ``(n, d - n, d)`` of each
-    probability ``n/d``, one bit per argument (canonical order) and one per
-    attack (sorted order).  A certain element's weights are ``(1, 0, 1)``."""
+    probability ``n/d``, one bit per argument (its slot, taken at its forget
+    node as ``td``'s post-order ``order`` is walked backwards, parents
+    first) and one per attack (sorted order).  A certain element's weights
+    are ``(1, 0, 1)``."""
 
-    def __init__(self, paf: PAF, S, sigma):
+    def __init__(self, paf: PAF, S, sigma, td: NiceTreeDecomposition, order):
+        self.S = S
         self.sigma = sigma
-        self.bit = {a: 1 << i for i, a in enumerate(paf.af.arguments)}
-        self.s_mask = self.mask(S)
+        slot: dict[str, int] = {}
+        for t in reversed(order):
+            if td.kind[t] == FORGET:
+                taken = {slot[b] for b in td.bags[t]}
+                slot[td.arg[t]] = min(set(range(len(taken) + 1)) - taken)
+        self.bit = {a: 1 << i for a, i in slot.items()}
         self.warg = {a: _weights(p) for a, p in paf.arg_prob.items()}
         self.attacks = sorted(paf.af.attacks)
-        # per argument, its attacks in sorted order as (attack bit, endpoint
-        # mask, source bit, target bit, weights)
+        # per argument, its attacks in sorted order as (other endpoint,
+        # (attack bit, endpoint mask, source bit, target bit, weights))
         self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
         for i, (x, y) in enumerate(self.attacks):
             bx, by = self.bit[x], self.bit[y]
             entry = (1 << i, bx | by, bx, by, _weights(paf.att_prob[x, y]))
-            for a in {x, y}:
-                self.incident[a].append(entry)
+            for a, b in {(x, y), (y, x)}:
+                self.incident[a].append((b, entry))
 
     def mask(self, args) -> int:
         return sum(self.bit[a] for a in args)
 
-    def decided(self, a: str, bag_mask: int):
+    def decided(self, a: str, bag):
         """The attacks decided where ``a`` leaves a bag, those between ``a``
-        and ``bag_mask`` (which holds ``a``), and the denominator that forget
-        multiplies into the table's."""
-        decided = [r for r in self.incident[a] if not r[1] & ~bag_mask]
+        and ``bag`` (which holds ``a``), and the denominator that forget
+        multiplies into the table's.  Arguments that share no bag may share
+        a slot, so the test is by name."""
+        decided = [r for b, r in self.incident[a] if b in bag]
         return decided, prod((r[4][2] for r in decided), start=self.warg[a][2])
 
-    def choices(self, a: str, present: int, und: int, decided):
+    def choices(self, a: str, present: int, und: int, ins: int, decided):
         """The conflict-free decisions of the ``decided`` attacks in a row's
         structure, as ``(attacks, w, factor)``: the present attacks, the
         witness bits they set, and the numerator of ``a``'s presence or
         absence times each attack's, or its denominator when an endpoint is
-        absent.  An attack's absent choice comes first."""
+        absent.  ``ins`` is the mask of the bag's members of S, all present
+        in every row.  An attack's absent choice comes first."""
         w_present, w_absent, _ = self.warg[a]
-        ins = present & self.s_mask
         live = ins | und  # the arguments not labeled out
         com = self.sigma == "com"
         out = [(0, 0, w_present if present & self.bit[a] else w_absent)]
@@ -311,7 +326,7 @@ class _Context:
 def _introduce(rows, a, ctx: _Context):
     out = {}
     bit = ctx.bit[a]
-    in_s = ctx.s_mask & bit
+    in_s = a in ctx.S
     # every other bag member of S is present already: only ``a`` can be an
     # absent member of S, and that row is not emitted; nor is a certain ``a``
     keep_absent = ctx.warg[a][1] and not in_s
@@ -325,11 +340,11 @@ def _introduce(rows, a, ctx: _Context):
     return out
 
 
-def _forget(rows, a, decided, ctx: _Context):
+def _forget(rows, a, decided, ins, ctx: _Context):
     merged: dict[tuple, dict] = {}
     bit = ctx.bit[a]
     keep = ~bit
-    outside_s = not ctx.s_mask & bit  # an in-label needs no witness
+    outside_s = a not in ctx.S  # an in-label needs no witness
     # decisions read only ``local``, the bits of ``a`` and its decided
     # neighbours: per pattern of those, the summed factor of each witness set
     local = bit
@@ -343,7 +358,7 @@ def _forget(rows, a, decided, ctx: _Context):
         options = folded.get(pattern)
         if options is None:
             options = folded[pattern] = {}
-            for _, w_bits, factor in ctx.choices(a, *pattern, decided):
+            for _, w_bits, factor in ctx.choices(a, *pattern, ins, decided):
                 options[w_bits] = options.get(w_bits, 0) + factor
         for w_bits, factor in options.items():
             for w, p in group.items():
@@ -373,20 +388,21 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
 
     # render the mass of the whole subtree: forget the bag in sorted order,
     # deciding its attacks as the forgets above the node would
-    steps, bag_mask = [], ctx.mask(bag)
+    steps, left = [], set(bag)
     for a in order:
-        decided, decided_den = ctx.decided(a, bag_mask)
+        decided, decided_den = ctx.decided(a, left)
         steps.append((a, decided))
         den = den * decided_den
-        bag_mask &= ~ctx.bit[a]
+        left.discard(a)
     # the attacks between bag members, in sorted order, as (attack bit, attack)
     bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
+    ins = ctx.mask(bag & ctx.S)
     decoded = []
     for (present, und), group in rows.items():
         expanded = [(0, 0, 1)]
         for a, decided in steps:
-            options = ctx.choices(a, present, und, decided)
+            options = ctx.choices(a, present, und, ins, decided)
             expanded = [
                 (atts | more, w | w_bits, f * factor)
                 for atts, w, f in expanded
@@ -394,7 +410,7 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
             ]
         args = names(present)
         # the labels sort as (argument, label) pairs: out before undecided
-        lab = tuple((x, IN if ctx.bit[x] & ctx.s_mask else UND if ctx.bit[x] & und else OUT) for x in args)
+        lab = tuple((x, IN if x in ctx.S else UND if ctx.bit[x] & und else OUT) for x in args)
         for atts, w_bits, factor in expanded:
             att_list = [att for r_bit, att in bag_attacks if atts & r_bit]
             for w, p in group.items():

@@ -53,6 +53,12 @@ def test_af_rejects_undeclared_endpoint_and_bad_names():
         AF(["a"], [("a",)])
     with pytest.raises(InputError, match="^an argument cannot be forced both in and out$"):
         ForcedLabeling(frozenset("ab"), frozenset("b"))
+    for build in (lambda: AF(5), lambda: AF(["a"], 5)):
+        with pytest.raises(InputError, match="^an AF takes an iterable of arguments and one of attacks$"):
+            build()
+    for S in (5, None):
+        with pytest.raises(InputError, match=rf"^query set {S} is not a set of argument names$"):
+            AF(["a"]).check_subset(S)
 
 
 def test_attackers_and_targets():
@@ -221,6 +227,14 @@ def test_paf_rejects_zero_probability_and_bad_coverage():
         PAF(af, {}, {})
     with pytest.raises(InputError, match="attack probabilities do not cover the attacks"):
         PAF(AF(["a", "b"], [("a", "b")]), {"a": 1, "b": 1}, {})
+    # wrongly shaped library input is an InputError too
+    with pytest.raises(InputError, match="^5 is not an AF$"):
+        PAF(5, {}, {})
+    for arg_prob, att_prob in ((5, {}), ({"a": 1}, 5)):
+        with pytest.raises(InputError, match="^a PAF takes its probabilities as mappings$"):
+            PAF(af, arg_prob, att_prob)
+    with pytest.raises(InputError, match="^attack 1 is not a pair of arguments$"):
+        PAF(af, {"a": 1}, {1: 1})
 
 
 def test_certain_respecting_subframeworks():

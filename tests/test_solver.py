@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paftd
@@ -298,15 +299,15 @@ def test_introduce_at_most_triples_its_child(cycle5):
                 assert node.rows <= 3 * stats[td.children[t][0]].rows, t
 
 
-def reference_forget(rows, a, decided, ctx):
+def reference_forget(rows, a, decided, ins, ctx):
     """A forget that decides every group's attacks anew, one choice at a time."""
     merged = {}
     bit = ctx.bit[a]
-    outside_s = not ctx.s_mask & bit
+    outside_s = a not in ctx.S
     for (present, und), group in rows.items():
         needs = outside_s and present & bit and (ctx.sigma == "com" or not und & bit)
         target = merged.setdefault((present & ~bit, und & ~bit), {})
-        for _, w_bits, factor in ctx.choices(a, present, und, decided):
+        for _, w_bits, factor in ctx.choices(a, present, und, ins, decided):
             for w, p in group.items():
                 new_w = w | w_bits
                 if needs and not new_w & bit:
@@ -318,9 +319,9 @@ def reference_forget(rows, a, decided, ctx):
 def test_forget_equals_the_per_group_reference(monkeypatch):
     forget, forgets = solver._forget, []
 
-    def checked(rows, a, decided, ctx):
-        out = forget(rows, a, decided, ctx)
-        assert out == reference_forget(rows, a, decided, ctx), a
+    def checked(rows, a, decided, ins, ctx):
+        out = forget(rows, a, decided, ins, ctx)
+        assert out == reference_forget(rows, a, decided, ins, ctx), a
         forgets.append(a)
         return out
 
@@ -338,13 +339,13 @@ def test_forget_decides_each_local_pattern_once(monkeypatch):
     # the decisions read only a's bit and its decided neighbours' bits
     choices, forget, calls = solver._Context.choices, solver._forget, []
 
-    def counted(ctx, a, present, und, decided):
+    def counted(ctx, a, present, und, ins, decided):
         calls.append((present, und))
-        return choices(ctx, a, present, und, decided)
+        return choices(ctx, a, present, und, ins, decided)
 
-    def checked(rows, a, decided, ctx):
+    def checked(rows, a, decided, ins, ctx):
         calls.clear()
-        out = forget(rows, a, decided, ctx)
+        out = forget(rows, a, decided, ins, ctx)
         local = ctx.bit[a]
         for r in decided:
             local |= r[1]
@@ -359,6 +360,52 @@ def test_forget_decides_each_local_pattern_once(monkeypatch):
     td = make_nice(decompose(grid.af, order=grid_elimination_order(spec)))
     for sigma in ("adm", "com", "stb"):
         solve(grid, sigma, query, td=td)
+
+
+def test_each_argument_keeps_one_slot_apart_from_its_bag_mates(cycle5):
+    # slots stand in for argument ranks: width + 1 of them, distinct in every bag
+    cases = [(cycle5, parse_td((FIXTURES / "cycle5.td").read_text()))]
+    for spec in (GridSpec(4, 30, 2), GridSpec(2, 300, 1)):
+        grid, _ = generate_grid(spec)
+        cases.append((grid, make_nice(decompose(grid.af, order=grid_elimination_order(spec)))))
+    rnd = random.Random(48)
+    for _ in range(30):
+        paf = random_paf(rnd)
+        for heuristic in ("min-fill", "min-degree"):
+            for seed in (None, 0, 3):
+                rng = None if seed is None else np.random.default_rng(seed)
+                cases.append((paf, make_nice(decompose(paf.af, heuristic=heuristic, rng=rng))))
+    for paf, td in cases:
+        bit = solver._Context(paf, frozenset(), "com", td, td.post_order()).bit
+        assert bit.keys() == set(paf.af.arguments)
+        assert all(0 < b < 1 << td.width() + 1 and b & (b - 1) == 0 for b in bit.values())
+        for t, bag in td.bags.items():
+            assert len({bit[a] for a in bag}) == len(bag), t
+
+
+def test_every_mask_spans_the_width_not_the_arguments(monkeypatch):
+    masks = []
+
+    def recorded(step):
+        def wrapper(*args):
+            out = step(*args)
+            for table in (out, *(x for x in args if isinstance(x, dict))):
+                for (present, und), group in table.items():
+                    masks.extend((present, und, *group))
+            return out
+
+        return wrapper
+
+    for name in ("_introduce", "_forget", "_join"):
+        monkeypatch.setattr(solver, name, recorded(getattr(solver, name)))
+    spec = GridSpec(4, 30, 2)  # the dp-replay shape: a sweep-order decomposition
+    grid, query = generate_grid(spec)
+    replay = make_nice(decompose(grid.af, order=grid_elimination_order(spec)))
+    long_grid, long_query = generate_grid(GridSpec(2, 300, 1))
+    for paf, S, td in ((grid, query, replay), (long_grid, long_query, None)):
+        masks.clear()
+        width = solve(paf, "com", S, td=td).width
+        assert masks and max(masks) < 1 << width + 1, (len(paf.af.arguments), width)
 
 
 @pytest.mark.parametrize("heuristic", ["min-fill", "min-degree"])
