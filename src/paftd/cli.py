@@ -87,24 +87,31 @@ def _cmd_solve(args) -> int:
     td = treedecomp.parse_td(_read(args.td_file)) if args.td_file else None
     if args.order is not None:  # a fixed decomposition, replayed like --td-file
         td = treedecomp.decompose(paf.af, order=args.order)
-    result = None
+    result = shape = None  # the traced DP's result; the record's width and nodes
     if sigma in solver.CLOSED_FORM_SEMANTICS and not args.trace:
         # the closed form needs no decomposition; a fixed one is still checked
         # and made nice, as the DP would, and gives the record its shape
         value, status = solver.closed_form(paf, sigma, S), "off"
-        nice = solver.fixed_td(paf, td) if td is not None else None
-        width, nodes = (nice.width(), nice.node_count()) if nice else (None, None)
+        if td is not None:
+            nice = solver.fixed_td(paf, td)
+            shape = nice.width(), nice.node_count()
     else:
         def engine(instance):
-            nonlocal result
+            nonlocal result, shape
             # --heuristic decomposes the instance that preprocessing left
             given = td if args.heuristic is None else treedecomp.decompose(instance.af, heuristic=args.heuristic)
-            result = solver.solve(instance, sigma, S, mode=args.mode, td=given, trace=args.trace, deadline=deadline)
-            return result.exact
+            if args.trace:
+                result = solver.solve(instance, sigma, S, mode=args.mode, td=given, trace=True, deadline=deadline)
+                shape = result.width, result.node_count
+                return result.exact
+            # untraced, only com reaches here: the three-state sum answers it
+            exact, nice = solver.three_state(instance, S, td=given, deadline=deadline)
+            shape = nice.width(), nice.node_count()
+            return exact
 
         # a TD describes the unreduced instance, so a fixed one turns preprocessing off
         value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on" and td is None)
-        width, nodes = (result.width, result.node_count) if result else (None, None)
+    width, nodes = shape or (None, None)
     record = {
         **_answer_fields(value, args.mode),
         "mode": args.mode,

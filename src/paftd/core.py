@@ -80,8 +80,11 @@ def as_probability(value) -> Fraction:
 
 
 def _pair(att) -> Attack:
-    """``att`` as an ``(x, y)`` tuple of hashable endpoints."""
+    """``att`` as an ``(x, y)`` tuple of hashable endpoints; a string is
+    not a pair, though a two-character one unpacks as one."""
     try:
+        if isinstance(att, str):
+            raise TypeError
         x, y = att
         hash((x, y))
     except (TypeError, ValueError):
@@ -108,6 +111,8 @@ class AF:
 
     def __init__(self, arguments, attacks=()):
         try:
+            if isinstance(arguments, str) or isinstance(attacks, str):
+                raise TypeError  # a string iterates as its characters
             names, attacks = list(arguments), list(attacks)
         except TypeError:
             raise InputError("an AF takes an iterable of arguments and one of attacks") from None

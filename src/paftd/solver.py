@@ -58,18 +58,44 @@ undecided argument is a conflict, and one from an out argument sets none.
 So a table has at most the product over its bag of 1 (a member of S) or
 5, 4, 3 (com, adm, stb) rows, within the loose ``9**len(bag)``.
 
-Under adm and stb no DP is needed: whether S is an extension of a scenario
-depends, for each argument ``b`` outside S, only on ``b``'s presence and the
-attacks between ``b`` and S, and these element sets are disjoint, so the
-probability factorises (Fazzinga, Flesca & Parisi, ACM TOCL 2015).  Write
-``q(X)`` for the product of ``1 - p`` over the attacks in X, and S→S for the
-attacks among S, self-attacks included; then :func:`closed_form` computes
+No query needs this DP outside ``--trace``.  Whether S is an extension of a
+scenario depends, for each argument ``b`` outside S, on ``b``'s presence and
+the attacks between ``b`` and S, and these element sets are disjoint
+(Fazzinga, Flesca & Parisi, ACM TOCL 2015); under com also on the choice of
+the undecided set U.  A present ``b`` is out iff S attacks it, must not
+attack S unless out, and if undecided needs an undecided attacker
+(Caminada, JELIA 2006).  Write ``q(X)`` for the product of ``1 - p`` over
+the attacks in X, and S→S for the attacks among S, self-attacks included;
+one pass over the attacks (:func:`_factors`) gives
 
-    P = prod_{s in S} P(s) * q(S→S) * prod_{b not in S} (1 - P(b) + P(b) * ok_b)
+    C   = prod_{s in S} P(s) * q(S→S)
+    n_b = 1 - P(b) + P(b) * (1 - q(S→b))     (b absent, or present and out)
+    u_b = P(b) * q(S→b) * q(b→S)             (b present, undecided, no attack on S)
 
-with ``ok_b = 1 - q(S→b)`` under stb and ``1 - (1 - q(b→S)) * q(S→b)`` under
-adm, in one pass over the attacks, on int numerators over one denominator.
-:func:`p_ext` and ``paftd solve`` answer adm and stb by it; :func:`solve`,
+and then P-Ext is C * prod_b (n_b + u_b) under adm, C * prod_b n_b under stb
+(:func:`closed_form`), and under com
+
+    C * sum_{U ⊆ A∖S} prod_{b not in U} n_b * prod_{b in U} u_b * (1 - prod_{c in U, c→b} (1 - p_cb)).
+
+:func:`three_state` computes that sum.  First it peels every ``b`` with
+``u_b = 0``, then, repeatedly, every ``b`` left without an attacker among
+those left (a self-attack counts): such a ``b`` contributes ``n_b`` alone,
+as its undecided terms below are 0 or cancel.  On the live arguments left,
+each ``1 - prod`` splits into two signed terms, so a live ``b`` is in state
+N (weight ``n_b``), T (``u_b``) or Q (``-u_b * (1 - p_bb)``, with ``p_bb``
+0 unless ``b`` attacks itself), and an attack ``c→b`` between distinct live
+arguments contributes ``1 - p_cb`` when ``b`` is Q and ``c`` is T or Q,
+else 1.  The DP runs on the nice decomposition :func:`solve` would use,
+with bag-local slots for the live arguments only: an introduce or forget
+of a peeled argument passes its table on.  A row is one int
+``u | q << shift``, U's bits and Q's (``q ⊆ u``) with ``shift`` past every
+slot, and its int mass may be negative; no witness bit is needed, so a bag
+of k live arguments has at most ``3**k`` rows.  A forget charges the
+argument's weight and its attacks to the bag as above, with per-element
+denominators.
+
+:func:`p_ext` and ``paftd solve`` answer adm and stb by the closed form and
+com by :func:`three_state` after forced-label preprocessing; :func:`solve`,
 and so ``paftd solve --trace``, stays the DP for all three semantics.
 """
 
@@ -140,26 +166,25 @@ def p_ext(paf: PAF, sigma: str, S, mode: str = "rational"):
     """Probability that S is a sigma-extension: exact, or in float ``mode``
     the exact answer rounded once.
 
-    Answers adm and stb by :func:`closed_form`, and com by the DP after the
-    forced-label preprocessing of ``paftd solve``; :func:`solve` is the raw
-    DP, and the one that takes a fixed decomposition.
+    Answers adm and stb by :func:`closed_form`, and com by
+    :func:`three_state` after the forced-label preprocessing of ``paftd
+    solve``; :func:`solve` is the paper's DP.
     """
     if sigma in CLOSED_FORM_SEMANTICS:
         return rounded(closed_form(paf, sigma, S), mode)
-    value, _ = query_ext(paf, sigma, S, lambda instance: solve(instance, sigma, S, mode=mode).exact)
+    if sigma != "com":
+        raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
+    value, _ = query_ext(paf, sigma, S, lambda instance: three_state(instance, S)[0])
     return rounded(value, mode)
 
 
-def closed_form(paf: PAF, sigma: str, S) -> Fraction:
-    """The exact probability that S is an adm or stb extension, as the
-    product of the module docstring, in one pass over the attacks."""
-    if sigma not in CLOSED_FORM_SEMANTICS:
-        raise InputError(f"semantics {sigma!r} has no closed form")
-    S = paf.af.check_subset(S)
-    adm = sigma == "adm"
+def _factors(paf: PAF, S):
+    """The module docstring's factors, in one pass over the attacks: C as
+    ``(num, den)``, and per argument b outside S the int numerators of n_b
+    and u_b over one denominator, as ``{b: (n, u, den)}``."""
     num = den = 1
     onto: dict[str, list[int]] = {}  # b outside S -> [n, d] of q(S→b)
-    back: dict[str, list[int]] = {}  # b outside S -> [n, d] of q(b→S), adm only
+    back: dict[str, list[int]] = {}  # b outside S -> [n, d] of q(b→S)
     for (x, y), p in paf.att_prob.items():
         n, d = p.numerator, p.denominator
         if x in S:
@@ -167,32 +192,149 @@ def closed_form(paf: PAF, sigma: str, S) -> Fraction:
                 num, den = num * (d - n), den * d
                 continue
             q = onto.setdefault(y, [1, 1])
-        elif y in S and adm:
+        elif y in S:
             q = back.setdefault(x, [1, 1])
         else:
             continue
         q[0] *= d - n
         q[1] *= d
+    factors = {}
     for a, p in paf.arg_prob.items():
         n, d = p.numerator, p.denominator
         if a in S:
             num, den = num * n, den * d
             continue
-        # ok_b = ok_n / ok_d
         s_n, s_d = onto.get(a, (1, 1))
-        if adm:
-            b_n, b_d = back.get(a, (1, 1))
-            ok_d = s_d * b_d
-            ok_n = ok_d - (b_d - b_n) * s_n
-        else:
-            ok_n, ok_d = s_d - s_n, s_d
-        num, den = num * ((d - n) * ok_d + n * ok_n), den * d * ok_d
+        b_n, b_d = back.get(a, (1, 1))
+        factors[a] = (((d - n) * s_d + n * (s_d - s_n)) * b_d, n * s_n * b_n, d * s_d * b_d)
+    return num, den, factors
+
+
+def closed_form(paf: PAF, sigma: str, S) -> Fraction:
+    """The exact probability that S is an adm or stb extension, as the
+    product of the module docstring."""
+    if sigma not in CLOSED_FORM_SEMANTICS:
+        raise InputError(f"semantics {sigma!r} has no closed form")
+    num, den, factors = _factors(paf, paf.af.check_subset(S))
+    adm = sigma == "adm"
+    for n, u, d in factors.values():
+        num, den = num * (n + u if adm else n), den * d
     return Fraction(num, den)
 
 
-def fixed_td(paf: PAF, td: TreeDecomposition) -> NiceTreeDecomposition:
+def three_state(paf: PAF, S, td: TreeDecomposition | None = None, deadline: float | None = None):
+    """The exact probability that S is a complete extension of ``paf``, by
+    the module docstring's three-state sum, and the nice decomposition it
+    ran on: ``td`` as :func:`solve` takes it.  ``deadline`` (a
+    ``time.monotonic()`` value) is checked between nodes."""
+    S = paf.af.check_subset(S)
+    td = fixed_td(paf, td)
+    _check(deadline)  # also when the peel leaves no DP to run
+    num, den, factors = _factors(paf, S)
+    live = _peel(paf, factors) if num else set()
+    for a, (n, _, d) in factors.items():
+        if a not in live:
+            num, den = num * n, den * d
+    if num and live:
+        total, table_den = _signed_sum(paf, live, factors, td, deadline)
+        num, den = num * total, den * table_den
+    return Fraction(num, den), td
+
+
+def _check(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("solver ran out of time")
+
+
+def _peel(paf: PAF, factors) -> set[str]:
+    """The arguments outside S with u_b > 0, less, repeatedly, every one
+    left without an attacker among those left (a self-attack counts)."""
+    af = paf.af
+    live = {a for a, (_, u, _) in factors.items() if u}
+    attackers = {a: len(af.attackers(a) & live) for a in live}
+    work = [a for a, k in attackers.items() if not k]
+    while work:
+        a = work.pop()
+        live.discard(a)
+        for b in af.targets(a) & live:
+            attackers[b] -= 1
+            if not attackers[b]:
+                work.append(b)
+    return live
+
+
+def _signed_sum(paf: PAF, live, factors, td: NiceTreeDecomposition, deadline):
+    """The sum over the live arguments' N/T/Q states, as an int numerator
+    over one int denominator."""
+    order = td.post_order()
+    bit = _slots(td, order, live)
+    shift = max(bit.values()).bit_length()  # a row is u | q << shift
+    weights = {}  # a -> (N, T, Q) numerators and their denominator
+    # a -> its attacks as (other endpoint, (source's U bit, target's Q bit, n and d of 1 - p))
+    edges: dict[str, list] = {a: [] for a in live}
+    for a in live:
+        n, u, d = factors[a]
+        p = paf.att_prob.get((a, a), 0)
+        p_n, p_d = p.numerator, p.denominator
+        weights[a] = (n * p_d, u * p_d, -u * (p_d - p_n), d * p_d)
+    for (x, y), p in paf.att_prob.items():
+        if x != y and x in live and y in live:
+            entry = (bit[x], bit[y] << shift, p.denominator - p.numerator, p.denominator)
+            edges[x].append((y, entry))
+            edges[y].append((x, entry))
+
+    tables: dict[int, tuple] = {}  # node -> (rows, denominator)
+    for t in order:
+        _check(deadline)
+        kind, kids, a = td.kind[t], td.children[t], td.arg[t]
+        rows, den = tables.pop(kids[0]) if kids else ({0: 1}, 1)
+        if kind == JOIN:
+            right, right_den = tables.pop(kids[1])
+            rows, den = {s: p * right[s] for s, p in rows.items() if s in right}, den * right_den
+        elif a in bit and kind == INTRO:
+            u, uq = bit[a], bit[a] | bit[a] << shift
+            rows = {key: p for s, p in rows.items() for key in (s, s | u, s | uq)}
+        elif a in bit and kind == FORGET:
+            child_bag = td.bags[kids[0]]
+            decided = [entry for b, entry in edges[a] if b in child_bag]
+            rows = _forget_states(rows, bit[a], bit[a] << shift, weights[a], decided)
+            den *= prod((entry[3] for entry in decided), start=weights[a][3])
+        tables[t] = rows, den
+    rows, den = tables[td.root]
+    return rows.get(0, 0), den
+
+
+def _forget_states(rows, u_bit, q_bit, weights, decided):
+    """Forget the argument with bits ``u_bit`` and ``q_bit``: charge its
+    state's weight and each ``decided`` attack to every row, and add the
+    rows that meet.  The factor reads only the bits of the argument and its
+    decided neighbours, so it is computed once per pattern of those."""
+    w_n, w_t, w_q, _ = weights
+    local = u_bit | q_bit
+    for source, target_q, _, _ in decided:
+        local |= source | target_q
+    out: dict[int, int] = {}
+    factors: dict[int, int] = {}
+    keep = ~(u_bit | q_bit)
+    for s, p in rows.items():
+        pattern = s & local
+        f = factors.get(pattern)
+        if f is None:
+            f = w_q if s & q_bit else w_t if s & u_bit else w_n
+            for source, target_q, keep_n, d in decided:
+                f *= keep_n if s & target_q and s & source else d
+            factors[pattern] = f
+        if f:
+            key = s & keep
+            out[key] = out.get(key, 0) + p * f
+    return out
+
+
+def fixed_td(paf: PAF, td: TreeDecomposition | None) -> NiceTreeDecomposition:
     """``td`` validated against ``paf`` (an invalid one is an ``InputError``)
-    and in nice form."""
+    and in nice form; with ``td`` None, ``make_nice(decompose(paf.af))``."""
+    if td is None:
+        return make_nice(decompose(paf.af))
     violations = td.validate(paf.af)
     if violations:
         raise InputError("invalid tree-decomposition: " + "; ".join(violations))
@@ -222,7 +364,7 @@ def solve(
     S = paf.af.check_subset(S)
     rounded(0, mode)  # rejects an unknown mode before the DP runs
 
-    td = make_nice(decompose(paf.af)) if td is None else fixed_td(paf, td)
+    td = fixed_td(paf, td)
     order = td.post_order()
 
     ctx = _Context(paf, S, sigma, td, order)
@@ -231,8 +373,7 @@ def solve(
     trace_lines: list[str] | None = [] if trace else None
 
     for t in order:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("solver ran out of time")
+        _check(deadline)
         kind, kids, bag, a = td.kind[t], td.children[t], td.bags[t], td.arg[t]
         # a leaf starts from the one empty row, any other node from its first child
         rows, den = tables.pop(kids[0]) if kids else ({(0, 0): {0: 1}}, 1)
@@ -262,21 +403,15 @@ def _weights(p: Fraction):
 
 class _Context:
     """Per-solve constants: the int weights ``(n, d - n, d)`` of each
-    probability ``n/d``, one bit per argument (its slot, taken at its forget
-    node as ``td``'s post-order ``order`` is walked backwards, parents
-    first) and one per attack (sorted order).  A certain element's weights
+    probability ``n/d``, one bit per argument (its slot: :func:`_slots`)
+    and one per attack (sorted order).  A certain element's weights
     are ``(1, 0, 1)``."""
 
     def __init__(self, paf: PAF, S, sigma, td: NiceTreeDecomposition, order):
         self.S = S
         self.sigma = sigma
-        slot: dict[str, int] = {}
-        for t in reversed(order):
-            if td.kind[t] == FORGET:
-                taken = {slot[b] for b in td.bags[t]}
-                slot[td.arg[t]] = min(set(range(len(taken) + 1)) - taken)
-        self.bit = {a: 1 << i for a, i in slot.items()}
         self.warg = {a: _weights(p) for a, p in paf.arg_prob.items()}
+        self.bit = _slots(td, order, self.warg)
         self.attacks = sorted(paf.af.attacks)
         # per argument, its attacks in sorted order as (other endpoint,
         # (attack bit, endpoint mask, source bit, target bit, weights))
@@ -321,6 +456,19 @@ class _Context:
             w_bit = y if x & ins or com and x & und and y & und else 0
             out = absent + [(atts | r_bit, w | w_bit, f * w_present) for atts, w, f in out]
         return out
+
+
+def _slots(td: NiceTreeDecomposition, order, args) -> dict[str, int]:
+    """One bit per argument of ``args``, its slot: walking ``td``'s
+    post-order ``order`` backwards (parents first), an argument takes at its
+    forget node the least slot its bag mates in ``args`` leave free."""
+    slot: dict[str, int] = {}
+    for t in reversed(order):
+        a = td.arg[t]
+        if td.kind[t] == FORGET and a in args:
+            taken = {slot[b] for b in td.bags[t] if b in slot}
+            slot[a] = min(set(range(len(taken) + 1)) - taken)
+    return {a: 1 << i for a, i in slot.items()}
 
 
 def _introduce(rows, a, ctx: _Context):

@@ -53,9 +53,12 @@ def test_af_rejects_undeclared_endpoint_and_bad_names():
         AF(["a"], [("a",)])
     with pytest.raises(InputError, match="^an argument cannot be forced both in and out$"):
         ForcedLabeling(frozenset("ab"), frozenset("b"))
-    for build in (lambda: AF(5), lambda: AF(["a"], 5)):
+    # a string is not a collection of names, nor of attacks
+    for build in (lambda: AF(5), lambda: AF(["a"], 5), lambda: AF("ab"), lambda: AF(["a", "b"], "ab")):
         with pytest.raises(InputError, match="^an AF takes an iterable of arguments and one of attacks$"):
             build()
+    with pytest.raises(InputError, match="^attack 'ab' is not a pair of arguments$"):
+        AF(["a", "b"], ["ab"])
     for S in (5, None):
         with pytest.raises(InputError, match=rf"^query set {S} is not a set of argument names$"):
             AF(["a"]).check_subset(S)
@@ -235,6 +238,8 @@ def test_paf_rejects_zero_probability_and_bad_coverage():
             PAF(af, arg_prob, att_prob)
     with pytest.raises(InputError, match="^attack 1 is not a pair of arguments$"):
         PAF(af, {"a": 1}, {1: 1})
+    with pytest.raises(InputError, match="^attack 'ab' is not a pair of arguments$"):
+        PAF(AF(["a", "b"], [("a", "b")]), {"a": 1, "b": 1}, {"ab": "1/2"})
 
 
 def test_certain_respecting_subframeworks():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paftd import AF, PAF, GridSpec, extensions, generate_grid, grounded_extension, p_ext_oracle, solve
-from paftd.solver import closed_form
+from paftd.solver import closed_form, three_state
 
 SEMANTICS = ("adm", "com", "stb")
 MAX_UNCERTAIN = 8  # keeps the oracle at <= 256 scenarios
@@ -170,6 +170,13 @@ def test_closed_form_matches_dp_and_oracle(case):
         assert closed_form(paf, sigma, S) == dp(paf, sigma, S) == p_ext_oracle(paf, sigma, S)
 
 
+@PROPERTY
+@given(pafs())
+def test_three_state_matches_dp_and_oracle(case):
+    paf, S = case
+    assert three_state(paf, S)[0] == dp(paf, "com", S) == p_ext_oracle(paf, "com", S)
+
+
 @settings(PROPERTY, max_examples=100)
 @given(acyclic_pafs())
 def test_acyclic_dp_matches_the_closed_form(case):
@@ -189,3 +196,20 @@ def test_grid_dp_matches_the_closed_form(spec):
     for S in (query, query | certain, grounded_extension(paf.af)):
         for sigma in ("adm", "stb"):
             assert dp(paf, sigma, S) == closed_form(paf, sigma, S), (spec, sorted(S), sigma)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(acyclic_pafs())
+def test_acyclic_three_state_matches_the_dp(case):
+    paf, S = case
+    assert three_state(paf, S)[0] == dp(paf, "com", S)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.builds(GridSpec, st.integers(1, 4), st.integers(1, 40), st.integers(0, 2**32 - 1)))
+def test_grid_three_state_matches_the_dp(spec):
+    # mutual attacks make cycles, where undecided arguments need the sum
+    paf, query = generate_grid(spec)
+    certain = {a for a in paf.af.arguments if paf.arg_certain(a)}
+    for S in (query, query | certain, grounded_extension(paf.af), frozenset()):
+        assert three_state(paf, S)[0] == dp(paf, "com", S), (spec, sorted(S))

@@ -79,13 +79,18 @@ def test_library_p_ext_preprocesses_unless_given_a_td(chain5):
 
 def test_library_p_ext_hands_the_reduced_instance_to_the_dp(chain5, monkeypatch):
     seen = []
-    raw = solver.solve
+    raw = solver.three_state
 
     def spy(paf, *args, **kwargs):
         seen.append(paf.af.arguments)
         return raw(paf, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve", spy)
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the paper's DP ran")
+
+    # the three-state DP answers com; the paper's DP answers only --trace
+    monkeypatch.setattr(solver, "three_state", spy)
+    monkeypatch.setattr(solver, "solve", no_dp)
     assert p_ext(chain5, "com", {"b"}) == 0
     assert seen == []
     assert p_ext(chain5, "com", {"a", "e"}, mode="float") == 0.375

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import random
 import re
@@ -7,6 +8,7 @@ import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from paftd import (
     solve,
 )
 from paftd import solver
+from paftd.cli import run
+from paftd.core import exact_text
 
 from conftest import FIXTURES, random_paf, random_subset
 
@@ -479,9 +483,98 @@ def test_deadline_is_enforced(cycle5):
         solve(cycle5, "com", {"a", "c", "e"}, deadline=0.0)
 
 
+def test_cycle5_peels_to_the_constant_factor(cycle5, monkeypatch):
+    # b and d are attacked by S = {a, c, e}, so no argument can be undecided:
+    # 18/25 is C * prod n_b alone, with no table built
+    S = {"a", "c", "e"}
+    num, den, factors = solver._factors(cycle5, S)
+    assert solver._peel(cycle5, factors) == set()
+    peeled = factors.values()
+    assert Fraction(num * prod(n for n, _, _ in peeled), den * prod(d for _, _, d in peeled)) == Fraction(18, 25)
+
+    def no_sum(*args):
+        raise AssertionError("the three-state sum ran")
+
+    monkeypatch.setattr(solver, "_signed_sum", no_sum)
+    value, td = solver.three_state(cycle5, S)
+    assert value == Fraction(18, 25)
+    assert (td.width(), td.node_count()) == (2, 14)  # the DP's decomposition, before the peel
+
+
+def test_peel_repeats_until_every_argument_left_has_an_attacker_left():
+    half = Fraction(1, 2)
+
+    def live(attacks, S=()):
+        names = sorted({x for att in attacks for x in att})
+        paf = PAF(AF(names, attacks), dict.fromkeys(names, half), dict.fromkeys(attacks, half))
+        return solver._peel(paf, solver._factors(paf, set(S))[2])
+
+    # a chain unravels from its unattacked end; a cycle, a self-attack and
+    # what they reach stay
+    assert live([("a", "b"), ("b", "c")]) == set()
+    assert live([("a", "b"), ("b", "a"), ("b", "c"), ("d", "c")]) == {"a", "b", "c"}
+    assert live([("x", "x"), ("x", "y")]) == {"x", "y"}
+    # u_b = 0 comes first: a certain attack from S = {s} leaves b out whenever
+    # it is present, and then c, attacked by b alone, has no attacker left
+    paf = PAF(AF(["s", "b", "c"], [("s", "b"), ("b", "c"), ("c", "b")]),
+              {"s": 1, "b": half, "c": half}, {("s", "b"): 1, ("b", "c"): half, ("c", "b"): half})
+    assert solver._peel(paf, solver._factors(paf, {"s"})[2]) == set()
+
+
+def _replay_grid():
+    """The 4x30 seed-2 grid, S its query plus every certain argument, and its
+    sweep-order nice TD."""
+    spec = GridSpec(4, 30, 2)
+    paf, query = generate_grid(spec)
+    S = query | {a for a in paf.af.arguments if paf.arg_certain(a)}
+    return paf, S, make_nice(decompose(paf.af, order=grid_elimination_order(spec)))
+
+
+def test_three_state_replays_a_td_whose_bags_hold_peeled_arguments(tmp_path, capsys):
+    paf, S, td = _replay_grid()
+    live = solver._peel(paf, solver._factors(paf, S)[2])
+    peeled = set(paf.af.arguments) - S - live
+    assert live and peeled  # the TD's bags hold both; the engine skips the peeled
+    value, used = solver.three_state(paf, S, td=td)
+    assert used is td
+    assert value == solve(paf, "com", S, td=td).exact
+    paf_file, td_file = tmp_path / "grid.paf", tmp_path / "grid.td"
+    paf_file.write_text(paftd.serialize_paf(paf, query_set=S))
+    td_file.write_text(td.serialize())
+    records = []
+    for extra in ((), ("--trace",)):
+        argv = ["solve", str(paf_file), "--semantics", "complete", "--td-file", str(td_file), *extra]
+        assert run(argv) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    untraced, traced = records
+    assert untraced["answer"] == traced["answer"] == exact_text(value)
+    assert (untraced["width"], untraced["nodes"], untraced["preprocess"]) == (traced["width"], traced["nodes"], "off")
+    assert (untraced["width"], untraced["nodes"]) == (td.width(), td.node_count())
+
+
+def test_three_state_checks_the_deadline_between_nodes(monkeypatch):
+    paf, S, td = _replay_grid()
+    assert solver._peel(paf, solver._factors(paf, S)[2])
+    with pytest.raises(BudgetExceeded):
+        solver.three_state(paf, S, td=td, deadline=0.0)
+    # a clock that passes the first checks and then jumps past the deadline
+    ticks = []
+
+    def clock():
+        ticks.append(None)
+        return 0.0 if len(ticks) < 10 else 2.0
+
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(BudgetExceeded):
+        solver.three_state(paf, S, td=td, deadline=1.0)
+    assert len(ticks) == 10
+
+
 def test_unsupported_semantics_rejected(cycle5):
     with pytest.raises(InputError):
         solve(cycle5, "grd", {"a"})
+    with pytest.raises(InputError, match="^semantics 'grd' is not supported by the DP solver$"):
+        p_ext(cycle5, "grd", {"a"})
 
 
 def test_unknown_mode_is_rejected_before_the_dp_runs(cycle5, monkeypatch):
