@@ -15,6 +15,13 @@ the argument of an acceptance query) are present: S is no extension, and no
 extension holds the argument, of a scenario that lacks one of them.
 Credulous acceptance under adm, com and stb is one search that grows a
 conflict-free set from the argument until it is admissible or stable.
+The grounded extension grows from the empty set: each round adds the
+arguments, neither in it nor attacked by it, whose attackers it all
+attacks.  A set grown so is part of the grounded extension, so it is
+conflict-free and an argument it attacks never joins.  A grounded query
+stops once it is decided: an acceptance query when the argument joins
+(yes) or is attacked (no), an extension query when a round adds an
+argument outside S or attacks one in S (no).
 Runtime is exponential in the number of uncertain elements, so a capacity
 cap guards every entry point.
 """
@@ -174,11 +181,13 @@ class _Scenario:
     def is_extension(self, S: int, sigma: str) -> bool:
         if S & ~self.present:
             return False
+        if sigma == "grd":
+            # a part of the grounded extension that adds an argument outside
+            # S, or attacks a member of S (so cannot hold it), is not S
+            return S == self.grounded(~S, S)
         hit = _union(self.tgt_of, S)
         if hit & S:
             return False
-        if sigma == "grd":
-            return S == self.grounded()
         if sigma == "stb":
             return self.present & ~S & ~hit == 0
         # admissibility: every attacker of S is counter-attacked
@@ -186,8 +195,10 @@ class _Scenario:
             return False
         if sigma == "adm":
             return True
-        # completeness: every defended argument already belongs to S
-        m = self.present & ~S
+        # completeness: every defended argument already belongs to S.  An
+        # argument that S attacks has an attacker in S, which conflict-free S
+        # does not attack, so only one that S leaves unattacked is defended
+        m = self.present & ~S & ~hit
         while m:
             low = m & -m
             if self.att_of[low.bit_length() - 1] & ~hit == 0:
@@ -195,20 +206,36 @@ class _Scenario:
             m ^= low
         return True
 
-    def grounded(self) -> int:
-        S = 0
+    def grounded(self, joins: int = 0, hits: int = 0) -> int:
+        """The grounded extension, grown from the empty set one round at a time.
+
+        A round adds T, the arguments neither in S nor attacked by S whose
+        attackers S all attacks, and the targets of T to those S attacks; the
+        growth stops when T is empty.  This is the least fixed point of the
+        defence function F: F is monotone, so a member of S stays in, and S,
+        a subset of the grounded extension, is conflict-free, so an argument
+        that S attacks can never join.  It returns early, with the S grown so
+        far, once a round adds an argument of ``joins`` or attacks one of
+        ``hits``.
+        """
+        att_of, tgt_of = self.att_of, self.tgt_of
+        S = hit = 0
         while True:
-            hit = _union(self.tgt_of, S)
-            T = 0
-            m = self.present
+            T = t_hit = 0
+            m = self.present & ~(S | hit)
             while m:
                 low = m & -m
-                if self.att_of[low.bit_length() - 1] & ~hit == 0:
+                i = low.bit_length() - 1
+                if att_of[i] & ~hit == 0:
                     T |= low
+                    t_hit |= tgt_of[i]
                 m ^= low
-            if T == S:
+            if not T:
                 return S
-            S = T
+            S |= T
+            hit |= t_hit
+            if T & joins or hit & hits:
+                return S
 
     def accepts(self, abit: int, sigma: str, deadline=None) -> bool:
         """Credulous acceptance: some sigma-extension contains the argument
@@ -232,7 +259,8 @@ class _Scenario:
         if not self.present & abit:
             return False
         if sigma == "grd":
-            return bool(self.grounded() & abit)
+            # decided once the argument joins (yes) or is attacked (no)
+            return bool(self.grounded(abit, abit) & abit)
         a = abit.bit_length() - 1
         if self.tgt_of[a] & abit:
             return False

@@ -21,6 +21,7 @@ from paftd import (
     count_ext,
     enumerate_subframeworks,
     extensions,
+    grounded_extension,
     p_acc_oracle,
     p_ext_oracle,
     parse_paf,
@@ -364,6 +365,74 @@ def test_acceptance_on_a_deep_chain():
     assert p_acc_oracle(paf, "stb", "a2500") == 1
     assert p_acc_oracle(paf, "stb", "a2499") == 0
     assert time.perf_counter() - start < 1
+
+
+def _mask(index, names):
+    return sum(1 << index[a] for a in names)
+
+
+def test_each_scenario_agrees_with_the_core_semantics():
+    # per scenario, not per sum: a wrong yes in one scenario cannot hide
+    # behind a wrong no of the same weight in another
+    rnd = random.Random(32)
+    for _ in range(200):
+        paf = random_paf(rnd, max_args=7, max_uncertain=5)
+        args = paf.af.arguments
+        index = {a: i for i, a in enumerate(args)}
+        for (view, _), (sub, _) in zip(oracle._iter_scenarios(paf), enumerate_subframeworks(paf)):
+            af = sub.to_af()
+            assert view.grounded() == _mask(index, grounded_extension(af)), sub
+            present = view.present
+            absent = ~present & ((1 << len(args)) - 1)
+            for sigma in ORACLE_SEMANTICS:
+                exts = {_mask(index, E) for E in extensions(af, sigma)}
+                # every subset of the present arguments, and one absent argument
+                if absent:
+                    assert not view.is_extension(absent & -absent, sigma)
+                S = present
+                while True:
+                    assert view.is_extension(S, sigma) == (S in exts), (sub, sigma, S)
+                    if S == 0:
+                        break
+                    S = (S - 1) & present
+                for i in range(len(args)):
+                    held = any(E >> i & 1 for E in exts)
+                    assert view.accepts(1 << i, sigma) == held, (sub, sigma, args[i])
+
+
+def test_grounded_on_hand_built_scenarios():
+    # a0 -> a1 -> ... -> a8: a round adds one argument, a_2k joins in round
+    # k + 1, and a_2k+1 is attacked in round k + 1
+    names = [f"a{i}" for i in range(9)]
+    index = {a: i for i, a in enumerate(names)}
+    chain = _bitmask_view(index, names, list(zip(names, names[1:])))
+    even = _mask(index, names[::2])
+    assert chain.grounded() == even
+    for i, a in enumerate(names):
+        assert chain.accepts(1 << i, "grd") == (i % 2 == 0), a
+    assert chain.is_extension(even, "grd")
+    assert not chain.is_extension(even & ~1, "grd")  # lacks the round-1 argument
+    assert not chain.is_extension(even ^ 1 << 8, "grd")  # lacks the last one
+    assert not chain.is_extension(even | 1 << 7, "grd")  # holds an attacked one
+
+    # an odd cycle: every argument stays undecided, neither in nor attacked
+    names = ["a", "b", "c"]
+    index = {a: i for i, a in enumerate(names)}
+    cycle = _bitmask_view(index, names, [("a", "b"), ("b", "c"), ("c", "a")])
+    assert cycle.grounded() == 0
+    assert not any(cycle.accepts(1 << i, "grd") for i in range(3))
+    assert cycle.is_extension(0, "grd")
+    assert not cycle.is_extension(1, "grd")
+
+    # u is unattacked, so round 1 adds u and attacks x, and round 2 adds y
+    names = ["u", "x", "y"]
+    index = {a: i for i, a in enumerate(names)}
+    view = _bitmask_view(index, names, [("u", "x"), ("x", "y")])
+    assert view.grounded() == 0b101
+    assert [view.accepts(1 << i, "grd") for i in range(3)] == [True, False, True]
+    assert view.is_extension(0b101, "grd")
+    assert not view.is_extension(0b001, "grd")
+    assert not view.is_extension(0b111, "grd")
 
 
 def test_oracle_imports_only_core_errors_and_the_standard_library():
