@@ -74,6 +74,19 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
+def _reduce_ext(paf, sigma: str, S, enabled: bool):
+    """The instance a P-Ext query is answered on, the multiplier of its
+    answer, and the record's ``preprocess`` status: ``(paf, 1, "off")``
+    unless ``enabled`` under com, ``(None, 0, "zero")`` when forced labels
+    answer zero, and else the reduced instance with ``"on"``."""
+    if not enabled or sigma != "com":
+        return paf, 1, "off"
+    reduction = preprocess.simplify_for_ext(paf, S)
+    if reduction.zero:
+        return None, 0, "zero"
+    return reduction.paf, reduction.multiplier, "on"
+
+
 def _cmd_solve(args) -> int:
     started = time.monotonic()
     deadline = started + args.timeout if args.timeout > 0 else None
@@ -87,31 +100,29 @@ def _cmd_solve(args) -> int:
     td = treedecomp.parse_td(_read(args.td_file)) if args.td_file else None
     if args.order is not None:  # a fixed decomposition, replayed like --td-file
         td = treedecomp.decompose(paf.af, order=args.order)
-    result = shape = None  # the traced DP's result; the record's width and nodes
+    result = width = nodes = None  # the traced DP's result; the record's shape
     if sigma in solver.CLOSED_FORM_SEMANTICS and not args.trace:
         # the closed form needs no decomposition; a fixed one is still checked
         # and made nice, as the DP would, and gives the record its shape
         value, status = solver.closed_form(paf, sigma, S), "off"
         if td is not None:
             nice = solver.fixed_td(paf, td)
-            shape = nice.width(), nice.node_count()
+            width, nodes = nice.width(), nice.node_count()
     else:
-        def engine(instance):
-            nonlocal result, shape
-            # --heuristic decomposes the instance that preprocessing left
-            given = td if args.heuristic is None else treedecomp.decompose(instance.af, heuristic=args.heuristic)
-            if args.trace:
-                result = solver.solve(instance, sigma, S, mode=args.mode, td=given, trace=True, deadline=deadline)
-                shape = result.width, result.node_count
-                return result.exact
-            # untraced, only com reaches here: the three-state sum answers it
-            exact, nice = solver.three_state(instance, S, td=given, deadline=deadline)
-            shape = nice.width(), nice.node_count()
-            return exact
-
         # a TD describes the unreduced instance, so a fixed one turns preprocessing off
-        value, status = preprocess.query_ext(paf, sigma, S, engine, enabled=args.preprocess == "on" and td is None)
-    width, nodes = shape or (None, None)
+        instance, multiplier, status = _reduce_ext(paf, sigma, S, args.preprocess == "on" and td is None)
+        if instance is None:  # preprocessing answered zero
+            value = Fraction(0)
+        else:
+            if args.heuristic is not None:  # it decomposes the instance that preprocessing left
+                td = treedecomp.decompose(instance.af, heuristic=args.heuristic)
+            if args.trace:
+                result = solver.solve(instance, sigma, S, mode=args.mode, td=td, trace=True, deadline=deadline)
+                exact, width, nodes = result.exact, result.width, result.node_count
+            else:  # only com reaches here: the three-state sum answers it
+                exact, nice = solver.three_state(instance, S, td=td, deadline=deadline)
+                width, nodes = nice.width(), nice.node_count()
+            value = exact * multiplier
     record = {
         **_answer_fields(value, args.mode),
         "mode": args.mode,
@@ -146,10 +157,11 @@ def _cmd_oracle(args) -> int:
         raise InputError("pass exactly one of --ext/--acc/--count-ext/--count-acc")
 
     if args.ext is not None:
-        def engine(instance):
-            return oracle.p_ext_oracle(instance, sigma, args.ext, cap=args.cap, deadline=deadline)
-
-        value, _ = preprocess.query_ext(paf, sigma, args.ext, engine, enabled=args.preprocess == "on")
+        instance, multiplier, _ = _reduce_ext(paf, sigma, args.ext, args.preprocess == "on")
+        if instance is None:  # preprocessing answered zero
+            value = Fraction(0)
+        else:
+            value = oracle.p_ext_oracle(instance, sigma, args.ext, cap=args.cap, deadline=deadline) * multiplier
         fields = _answer_fields(value, "rational")
     elif args.acc is not None:
         if args.preprocess == "on" and preprocess.simplify_for_acc(paf, args.acc):

@@ -4,8 +4,7 @@ A least fixed point propagates labels that hold in *every* scenario: an
 argument is forced in when all of its attackers (over the full attack
 relation, certain or not) are already forced out, and forced out when a
 certain, forced-in attacker reaches it through a certain attack.  Forced
-labels license sound query simplifications for the complete semantics, and
-:func:`query_ext` is the one P-Ext query path that applies them.
+labels license sound query simplifications for the complete semantics.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 from .core import PAF
 from .errors import InputError
 
-__all__ = ["ForcedLabeling", "forced_labeling", "simplify_for_ext", "simplify_for_acc", "ExtSimplification", "query_ext"]
+__all__ = ["ForcedLabeling", "forced_labeling", "simplify_for_ext", "simplify_for_acc", "ExtSimplification"]
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,3 @@ def simplify_for_acc(paf: PAF, a: str) -> bool:
     paf.af._check_member(a)
     return a in forced_labeling(paf).forced_out
 
-
-def query_ext(paf: PAF, sigma: str, S, engine, enabled: bool = True):
-    """Answer a P-Ext query exactly, simplifying it first where that is sound.
-
-    ``engine(instance)`` returns the exact probability that S is a
-    sigma-extension of ``instance``.  Preprocessing runs only when
-    ``enabled`` and for the complete semantics.  A zero outcome is answered
-    without the engine; otherwise the engine's value is scaled by the
-    reduction's multiplier.  Rounding the exact answer is the caller's.
-
-    Returns ``(value, status)`` with status ``"off"``, ``"on"`` or ``"zero"``.
-    """
-    if not enabled or sigma != "com":
-        return engine(paf), "off"
-    reduction = simplify_for_ext(paf, S)
-    if reduction.zero:
-        return Fraction(0), "zero"
-    return engine(reduction.paf) * reduction.multiplier, "on"

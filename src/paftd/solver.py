@@ -95,8 +95,10 @@ argument's weight and its attacks to the bag as above, with per-element
 denominators.
 
 :func:`p_ext` and ``paftd solve`` answer adm and stb by the closed form and
-com by :func:`three_state` after forced-label preprocessing; :func:`solve`,
-and so ``paftd solve --trace``, stays the DP for all three semantics.
+com by :func:`three_state`, ``paftd solve`` on the instance its forced-label
+preprocessing leaves: the peel drops every argument that it would remove.
+:func:`solve`, and so ``paftd solve --trace``, stays the DP for all three
+semantics.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ from math import prod
 
 from .core import PAF, exact_text
 from .errors import BudgetExceeded, InputError
-from .preprocess import query_ext
 from .treedecomp import (
     FORGET,
     INTRO,
@@ -167,15 +168,14 @@ def p_ext(paf: PAF, sigma: str, S, mode: str = "rational"):
     the exact answer rounded once.
 
     Answers adm and stb by :func:`closed_form`, and com by
-    :func:`three_state` after the forced-label preprocessing of ``paftd
-    solve``; :func:`solve` is the paper's DP.
+    :func:`three_state` on ``paf`` as given; :func:`solve` is the paper's
+    DP.
     """
     if sigma in CLOSED_FORM_SEMANTICS:
         return rounded(closed_form(paf, sigma, S), mode)
     if sigma != "com":
         raise InputError(f"semantics {sigma!r} is not supported by the DP solver")
-    value, _ = query_ext(paf, sigma, S, lambda instance: three_state(instance, S)[0])
-    return rounded(value, mode)
+    return rounded(three_state(paf, S)[0], mode)
 
 
 def _factors(paf: PAF, S):
@@ -403,22 +403,20 @@ def _weights(p: Fraction):
 
 class _Context:
     """Per-solve constants: the int weights ``(n, d - n, d)`` of each
-    probability ``n/d``, one bit per argument (its slot: :func:`_slots`)
-    and one per attack (sorted order).  A certain element's weights
-    are ``(1, 0, 1)``."""
+    probability ``n/d`` and one bit per argument (its slot:
+    :func:`_slots`).  A certain element's weights are ``(1, 0, 1)``."""
 
     def __init__(self, paf: PAF, S, sigma, td: NiceTreeDecomposition, order):
         self.S = S
         self.sigma = sigma
         self.warg = {a: _weights(p) for a, p in paf.arg_prob.items()}
         self.bit = _slots(td, order, self.warg)
-        self.attacks = sorted(paf.af.attacks)
         # per argument, its attacks in sorted order as (other endpoint,
-        # (attack bit, endpoint mask, source bit, target bit, weights))
+        # (attack, endpoint mask, source bit, target bit, weights))
         self.incident: dict[str, list] = {a: [] for a in paf.af.arguments}
-        for i, (x, y) in enumerate(self.attacks):
+        for x, y in sorted(paf.af.attacks):
             bx, by = self.bit[x], self.bit[y]
-            entry = (1 << i, bx | by, bx, by, _weights(paf.att_prob[x, y]))
+            entry = ((x, y), bx | by, bx, by, _weights(paf.att_prob[x, y]))
             for a, b in {(x, y), (y, x)}:
                 self.incident[a].append((b, entry))
 
@@ -443,8 +441,8 @@ class _Context:
         w_present, w_absent, _ = self.warg[a]
         live = ins | und  # the arguments not labeled out
         com = self.sigma == "com"
-        out = [(0, 0, w_present if present & self.bit[a] else w_absent)]
-        for r_bit, ends, x, y, (w_present, w_absent, d) in decided:
+        out = [((), 0, w_present if present & self.bit[a] else w_absent)]
+        for attack, ends, x, y, (w_present, w_absent, d) in decided:
             if ends & ~present:
                 out = [(atts, w, f * d) for atts, w, f in out]
                 continue
@@ -454,7 +452,7 @@ class _Context:
                 out = absent
                 continue
             w_bit = y if x & ins or com and x & und and y & und else 0
-            out = absent + [(atts | r_bit, w | w_bit, f * w_present) for atts, w, f in out]
+            out = absent + [(atts + (attack,), w | w_bit, f * w_present) for atts, w, f in out]
         return out
 
 
@@ -542,17 +540,15 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
         steps.append((a, decided))
         den = den * decided_den
         left.discard(a)
-    # the attacks between bag members, in sorted order, as (attack bit, attack)
-    bag_attacks = sorted((r[0], ctx.attacks[r[0].bit_length() - 1]) for _, decided in steps for r in decided)
 
     ins = ctx.mask(bag & ctx.S)
     decoded = []
     for (present, und), group in rows.items():
-        expanded = [(0, 0, 1)]
+        expanded = [((), 0, 1)]
         for a, decided in steps:
             options = ctx.choices(a, present, und, ins, decided)
             expanded = [
-                (atts | more, w | w_bits, f * factor)
+                (atts + more, w | w_bits, f * factor)
                 for atts, w, f in expanded
                 for more, w_bits, factor in options
             ]
@@ -560,7 +556,7 @@ def _dump(node_id: int, rows, den, bag, ctx: _Context, mode: str) -> list[str]:
         # the labels sort as (argument, label) pairs: out before undecided
         lab = tuple((x, IN if x in ctx.S else UND if ctx.bit[x] & und else OUT) for x in args)
         for atts, w_bits, factor in expanded:
-            att_list = [att for r_bit, att in bag_attacks if atts & r_bit]
+            att_list = sorted(atts)
             for w, p in group.items():
                 w |= w_bits
                 decoded.append(((args, att_list, lab, names(w & ~und), names(w & und)), p * factor))
