@@ -5,11 +5,12 @@ against: it materializes every scenario of a PAF, evaluates the queried
 semantics directly on it, and sums probabilities (or counts scenarios).
 Probabilities are exact ints over one denominator, the product of the
 denominators of the uncertain elements, and an answer is divided once.
-Scenarios are built in blocks.  For each choice of the uncertain arguments,
-and of the uncertain attacks between present arguments past the first
-``_BLOCK``, the views of every choice of those first ``_BLOCK`` attacks are
-built by doubling, one attack at a time.  So a scenario costs two list
-copies, and at most ``2**_BLOCK`` views are held at once.
+Scenarios are walked in blocks.  For each choice of the uncertain
+arguments, and of the uncertain attacks between present arguments past the
+first ``_BLOCK``, one view walks every choice of those first ``_BLOCK``
+attacks in reflected Gray order, each step toggling one attack in place.  So
+a scenario costs two int XORs, and one view and at most ``2**_BLOCK``
+weights are held at once.
 A query enumerates only the scenarios in which its arguments (the set S, or
 the argument of an acceptance query) are present: S is no extension, and no
 extension holds the argument, of a scenario that lacks one of them.
@@ -43,9 +44,13 @@ ORACLE_SEMANTICS = ("adm", "com", "stb", "grd")
 
 _DEADLINE_STRIDE = 256
 
-# the attacks per argument choice that are enumerated by doubling: at most
-# 2**_BLOCK scenario views are held at once
+# the attacks per argument choice that one view walks in Gray order: their
+# 2**_BLOCK weights are held at once
 _BLOCK = 10
+
+# _RULER[r - 1] is the number of trailing zeros of r, the low attack that
+# Gray step r toggles
+_RULER = [(r & -r).bit_length() - 1 for r in range(1, 1 << _BLOCK)]
 
 
 def _check_capacity(paf: PAF, cap: int) -> None:
@@ -68,15 +73,16 @@ def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tupl
     present and d - n when absent; an uncertain attack with an absent
     endpoint puts d.  Order is a binary counter over the uncertain arguments
     (canonical order, first argument in the least significant position, bit
-    set = present), then for each argument choice a binary counter over the
-    uncertain attacks (sorted) whose endpoints are both present.
+    set = present), then for each argument choice a walk over the uncertain
+    attacks (sorted, bit set = present) whose endpoints are both present.
 
-    That second counter is split into a low block of the first ``_BLOCK``
-    attacks and the high rest.  For each pattern of the high attacks, the
-    low block's views are built by doubling, one attack at a time: the views
-    so far without it, then a copy of each with it.  So view ``r`` holds low
-    attack ``i`` exactly when bit ``i`` of ``r`` is set, and the order is the
-    one counter's, ``high << _BLOCK | r``.  Every view owns its lists.
+    That walk splits the attacks into a low block of the first ``_BLOCK``
+    and the high rest, counted in binary.  For each pattern of the high
+    attacks, one view walks the low block in reflected Gray order (Knuth,
+    TAOCP 4A, 7.2.1.1): step ``r > 0`` toggles low attack ``ctz(r)`` in
+    place.  So the scenario at ``high << _BLOCK | r`` holds the attacks
+    ``high << _BLOCK | (r ^ (r >> 1))``.  A yielded view is valid until the
+    next one is drawn: read it before drawing on.
 
     A required argument is treated as certain, with its numerator n put
     into every weight, and leaves the argument counter.  So the stream is
@@ -113,6 +119,12 @@ def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tupl
             else:
                 u_atts.append((xi, yi, n, d - n))
         low, high = u_atts[:_BLOCK], u_atts[_BLOCK:]
+        # the low block's weights in Gray order, by reflection: the order so
+        # far without the next attack, then the same order reversed with it
+        gray = [1]
+        for xi, yi, n, m in low:
+            gray = [w * m for w in gray] + [w * n for w in reversed(gray)]
+        flips = [(yi, 1 << xi, xi, 1 << yi) for xi, yi, _, _ in low]
         for hmask in range(1 << len(high)):
             a_of, t_of, w_high = att_of[:], tgt_of[:], w_args
             for i, (xi, yi, n, m) in enumerate(high):
@@ -122,21 +134,23 @@ def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tupl
                     w_high *= n
                 else:
                     w_high *= m
-            views, weights = [_Scenario(present, a_of, t_of)], [w_high]
-            for xi, yi, n, m in low:
-                views += [view.with_attack(xi, yi) for view in views]
-                weights = [w * m for w in weights] + [w * n for w in weights]
-            for view, w in zip(views, weights):
+            view = _Scenario(present, a_of, t_of)
+            for r, w in enumerate(gray):
+                if r:
+                    yi, xbit, xi, ybit = flips[_RULER[r - 1]]
+                    a_of[yi] ^= xbit
+                    t_of[xi] ^= ybit
                 ticks += 1
                 if deadline is not None and ticks % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
                     raise BudgetExceeded("oracle enumeration ran out of time")
-                yield view, w
+                yield view, w_high * w
 
 
 def enumerate_subframeworks(
     paf: PAF, cap: int = DEFAULT_UNCERTAINTY_CAP, deadline=None
 ) -> Iterator[tuple[Subframework, Fraction]]:
-    """Stream every certain-respecting subframework with its probability."""
+    """Stream every certain-respecting subframework with its probability, in
+    the order of ``_iter_scenarios``' walk."""
     _check_capacity(paf, cap)
     args, den = paf.af.arguments, _denominator(paf)
     index = {a: i for i, a in enumerate(args)}
@@ -170,13 +184,6 @@ class _Scenario:
         self.present = present
         self.att_of = att_of  # att_of[i]: bits of the attackers of argument i
         self.tgt_of = tgt_of  # tgt_of[i]: bits of the targets of argument i
-
-    def with_attack(self, xi: int, yi: int) -> _Scenario:
-        """A copy of this view with the attack from argument xi to yi added."""
-        att_of, tgt_of = self.att_of[:], self.tgt_of[:]
-        att_of[yi] |= 1 << xi
-        tgt_of[xi] |= 1 << yi
-        return _Scenario(self.present, att_of, tgt_of)
 
     def is_extension(self, S: int, sigma: str) -> bool:
         if S & ~self.present:

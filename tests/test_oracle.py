@@ -171,7 +171,11 @@ def test_every_export_resolves():
 
 def _reference_scenarios(paf):
     """The oracle's enumeration with one Fraction per element per scenario:
-    (present arguments, present attacks, probability), in the oracle's order."""
+    (present arguments, present attacks, probability), in the oracle's order.
+    Per argument choice, the r-th attack pattern is ``high << B | (low ^ low
+    >> 1)`` for ``high, low = divmod(r, 2**B)``, B the lesser of ``_BLOCK``
+    and the number of uncertain attacks between present arguments: the first
+    B attacks walk in reflected Gray order within each pattern of the rest."""
     certain_args = frozenset(a for a in paf.af.arguments if paf.arg_certain(a))
     u_args = paf.uncertain_args()
     all_atts = sorted(paf.af.attacks)
@@ -188,7 +192,10 @@ def _reference_scenarios(paf):
         possible = [r for r in all_atts if r[0] in present and r[1] in present]
         forced = [r for r in possible if paf.att_certain(r)]
         u_atts = [r for r in possible if not paf.att_certain(r)]
-        for rmask in range(1 << len(u_atts)):
+        B = min(oracle._BLOCK, len(u_atts))
+        for count in range(1 << len(u_atts)):
+            high, low = divmod(count, 1 << B)
+            rmask = high << B | (low ^ low >> 1)
             atts = list(forced)
             p = p_args
             for i, r in enumerate(u_atts):
@@ -251,24 +258,53 @@ def _block_split_paf():
 
 def test_scenarios_across_the_block_split():
     paf = _block_split_paf()
-    index = {a: i for i, a in enumerate(paf.af.arguments)}
     reference = list(_reference_scenarios(paf))
     # for each choice of u1: 2**13 attack choices without u0, 2**14 with it
     assert len(reference) == 2 * (2 ** (oracle._BLOCK + 3) + 2 ** (oracle._BLOCK + 4))
     assert list(enumerate_subframeworks(paf)) == [
         (Subframework(present, atts), p) for present, atts, p in reference
     ]
-    # every view is taken before any is read: views that shared or reused
-    # their lists would show the last scenario's attacks
-    held = list(oracle._iter_scenarios(paf))
+    _assert_read_in_stream(paf, 0, reference)
+
+
+def _assert_read_in_stream(paf, required, reference):
+    """Walk ``_iter_scenarios(paf, required=required)`` in step with the
+    scenarios of ``reference`` that hold the required arguments, reading
+    each view, bit for bit, and its weight before drawing the next."""
+    index = {a: i for i, a in enumerate(paf.af.arguments)}
     den = oracle._denominator(paf)
-    got = [(view.present, view.att_of, view.tgt_of, Fraction(w, den)) for view, w in held]
-    views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
-    assert got == [(view.present, view.att_of, view.tgt_of, p) for view, p in views]
+    wanted = [(present, atts, p) for present, atts, p in reference
+              if _mask(index, present) & required == required]
+    stream = oracle._iter_scenarios(paf, required=required)
+    for k, ((view, w), (present, atts, p)) in enumerate(zip(stream, wanted, strict=True)):
+        ref = _bitmask_view(index, present, atts)
+        assert (view.present, view.att_of, view.tgt_of, Fraction(w, den)) == (
+            ref.present, ref.att_of, ref.tgt_of, p), (k, sorted(atts))
+
+
+def test_the_in_place_view_carries_no_stale_bits():
+    # one view walks each block, toggled in place: a bit left over from a
+    # Gray step, a high pattern or an argument choice shows in the next view
+    paf = _block_split_paf()
+    index = {a: i for i, a in enumerate(paf.af.arguments)}
+    reference = list(_reference_scenarios(paf))
+    # with neither required, test_scenarios_across_the_block_split walks it
+    for names in (["u0"], ["u1"], ["u0", "u1"]):
+        _assert_read_in_stream(paf, _mask(index, names), reference)
+    rnd = random.Random(34)
+    checked = 0
+    while checked < 50:
+        paf = random_paf(rnd, max_args=7, max_uncertain=12)
+        if sum(1 for r in paf.af.attacks if not paf.att_certain(r)) <= oracle._BLOCK:
+            continue
+        required = rnd.getrandbits(len(paf.af.arguments))
+        _assert_read_in_stream(paf, required, list(_reference_scenarios(paf)))
+        checked += 1
 
 
 def _stream(paf, required=0):
-    return [(view.present, view.att_of, view.tgt_of, w)
+    # a view is valid until the next is drawn, so its lists are copied
+    return [(view.present, view.att_of[:], view.tgt_of[:], w)
             for view, w in oracle._iter_scenarios(paf, required=required)]
 
 
