@@ -119,19 +119,30 @@ class AF:
         bad = [a for a in names if not is_valid_arg_name(a)]
         if bad:  # names are checked before they are sorted, which a non-string would break
             raise InputError(f"invalid argument name {min(bad, key=str)!r}")
-        args = tuple(sorted(set(names)))
-        argset = frozenset(args)
+        argset = set(names)
         atts = set()
         for att in attacks:
             x, y = _pair(att)
             if x not in argset or y not in argset:
                 raise InputError(f"attack {att!r} has an undeclared endpoint")
             atts.add((x, y))
+        self._build(argset, atts)
+
+    @classmethod
+    def _checked(cls, names, attacks) -> "AF":
+        """The AF of distinct valid ``names`` and distinct ``(x, y)`` pairs
+        between them, which the caller has already checked."""
+        af = object.__new__(cls)
+        af._build(names, attacks)
+        return af
+
+    def _build(self, names, attacks) -> None:
+        args = tuple(sorted(names))
         self.arguments: tuple[str, ...] = args
-        self.attacks: frozenset[Attack] = frozenset(atts)
+        self.attacks: frozenset[Attack] = frozenset(attacks)
         attackers = {a: set() for a in args}
         targets = {a: set() for a in args}
-        for x, y in atts:
+        for x, y in self.attacks:
             attackers[y].add(x)
             targets[x].add(y)
         self._attackers = {a: frozenset(s) for a, s in attackers.items()}
@@ -260,6 +271,17 @@ class PAF:
             raise InputError("argument probabilities do not cover the arguments")
         if set(att_prob) != set(af.attacks):
             raise InputError("attack probabilities do not cover the attacks")
+        self._build(af, arg_prob, att_prob)
+
+    @classmethod
+    def _checked(cls, af: AF, arg_prob: dict, att_prob: dict) -> "PAF":
+        """The PAF of dicts that map exactly ``af``'s arguments and attacks to
+        values of ``as_probability``, which the caller has already checked."""
+        paf = object.__new__(cls)
+        paf._build(af, arg_prob, att_prob)
+        return paf
+
+    def _build(self, af: AF, arg_prob: dict, att_prob: dict) -> None:
         self.af = af
         self.arg_prob = arg_prob
         self.att_prob = att_prob
@@ -289,9 +311,8 @@ class PAF:
         removed = self.af.check_subset(removed)
         keep = [a for a in self.af.arguments if a not in removed]
         atts = [r for r in self.af.attacks if r[0] not in removed and r[1] not in removed]
-        af = AF(keep, atts)
-        return PAF(
-            af,
+        return PAF._checked(
+            AF._checked(keep, atts),
             {a: self.arg_prob[a] for a in keep},
             {r: self.att_prob[r] for r in atts},
         )

@@ -5,6 +5,12 @@ Line-oriented: ``#`` comments, ``arg <name> <prob>``, ``att <src> <dst>
 <name>`` query argument.  Probabilities are decimal literals (or ``p/q``
 rationals) in (0, 1]; zero-probability elements must simply be omitted.
 Serialization is canonical, so parse(serialize(paf)) == paf.
+
+The parser's checks are the instance's checks: it checks every name,
+endpoint and duplicate as it reads them and each probability through
+``core.as_probability``, so it builds the ``PAF`` through the constructors'
+build step alone (``AF._checked``, ``PAF._checked``), not through the public
+constructors, which would check it all again.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ def parse_paf(text: str) -> PafDocument:
     query_arg: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts:
             continue
         kind = parts[0]
         if kind == "arg":
@@ -67,13 +73,14 @@ def parse_paf(text: str) -> PafDocument:
         elif kind == "att":
             if len(parts) != 4:
                 raise PafFormatError("expected: att <src> <dst> <prob>", lineno)
-            src, dst = parts[1], parts[2]
-            for end in (src, dst):
-                if end not in args:
-                    raise PafFormatError(f"undeclared endpoint {end!r}", lineno)
-            if (src, dst) in atts:
+            _, src, dst, token = parts
+            if src not in args or dst not in args:
+                end = src if src not in args else dst
+                raise PafFormatError(f"undeclared endpoint {end!r}", lineno)
+            pair = src, dst
+            if pair in atts:
                 raise PafFormatError(f"duplicate attack ({src},{dst})", lineno)
-            atts[(src, dst)] = _parse_probability(parts[3], lineno, read)
+            atts[pair] = _parse_probability(token, lineno, read)
         elif kind == "set":
             if query_set is not None:
                 raise PafFormatError("duplicate set line", lineno)
@@ -89,10 +96,10 @@ def parse_paf(text: str) -> PafDocument:
             if parts[1] not in args:
                 raise PafFormatError(f"undeclared query argument {parts[1]!r}", lineno)
             query_arg = parts[1]
-        else:
+        elif not kind.startswith("#"):
             raise PafFormatError(f"unknown directive {kind!r}", lineno)
-    paf = PAF(AF(args, atts), args, atts)
-    return PafDocument(paf, query_set, query_arg)
+    # every name, endpoint, duplicate and probability is checked above
+    return PafDocument(PAF._checked(AF._checked(args, atts), args, atts), query_set, query_arg)
 
 
 def format_probability(p: Fraction) -> str:

@@ -12,14 +12,17 @@ forget node adds or drops).
 ``make_nice`` rewrites any valid decomposition into one with empty root and
 leaf bags, preserving the width exactly, through two closures: ``add`` makes
 a node and ``chain`` links two bags by forgets, then introduces.
-``post_order`` is the one tree walk.  In the same pass ``validate`` counts
-each element's top holders (the root, or a holder whose parent lacks it):
-one per connected part of its bags, so they are connected iff there is one.
+``post_order`` is the one tree walk.  Along it ``validate`` finds each
+element's top holders (the root, or a holder whose parent lacks it) as the
+set differences of the tree edges' bags: one per connected part of its bags,
+so they are connected iff there is one, and two elements share a bag iff a
+top holder of one of them holds both.  ``parse_td`` reads a file in one pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import AF
@@ -65,26 +68,23 @@ class TreeDecomposition:
         if set(order) != set(self.bags):
             return ["tree is not connected or has unreachable nodes"]
 
-        above = {c: self.bags[t] for t in order for c in self.children.get(t, ())}
-        holders: dict[str, set[int]] = {}
-        tops: dict[str, int] = {}  # holders whose parent lacks the element: one per connected part
+        # each element's top holders (the root, and each holder whose parent
+        # lacks it: one per connected part of its holders), by their bags
+        bags, children = self.bags, self.children
+        tops: dict[str, list[frozenset[str]]] = {a: [bags[self.root]] for a in bags[self.root]}
         for t in order:
-            for a in self.bags[t]:
-                holders.setdefault(a, set()).add(t)
-                if a not in above.get(t, ()):
-                    tops[a] = tops.get(a, 0) + 1
-        violations = []
-        for a in af.arguments:
-            if a not in holders:
-                violations.append(f"argument {a} appears in no bag")
-        for a in sorted(holders.keys() - set(af.arguments)):
-            violations.append(f"bag element {a} is not an argument")
-        for x, y in sorted(af.attacks):
-            if holders.get(x, set()).isdisjoint(holders.get(y, ())):
-                violations.append(f"attack ({x},{y}) is covered by no bag")
-        for a in af.arguments:
-            if tops.get(a, 0) > 1:
-                violations.append(f"bags containing {a} are not connected")
+            bag = bags[t]
+            for c in children.get(t, ()):
+                for a in bags[c] - bag:
+                    tops.setdefault(a, []).append(bags[c])
+        # a pair shares a bag iff a top holder of one of the two holds both:
+        # the highest bag holding both is the root or its parent lacks one
+        shared = {(x, y) for x, held in tops.items() for bag in held for y in bag}
+        uncovered = [(x, y) for x, y in af.attacks - shared if (y, x) not in shared]
+        violations = [f"argument {a} appears in no bag" for a in af.arguments if a not in tops]
+        violations += [f"bag element {a} is not an argument" for a in sorted(tops.keys() - set(af.arguments))]
+        violations += [f"attack ({x},{y}) is covered by no bag" for x, y in sorted(uncovered)]
+        violations += [f"bags containing {a} are not connected" for a in af.arguments if len(tops.get(a, ())) > 1]
         return violations
 
     def serialize(self) -> str:
@@ -113,13 +113,15 @@ class NiceTreeDecomposition(TreeDecomposition):
             v.append(f"root {self.root} is not a bag")
         elif self.bags[self.root]:
             v.append("root bag is not empty")
+        bags, children, args, empty = self.bags, self.children, self.arg, frozenset()
         for t, kind in self.kind.items():
-            unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
-            if unread:
+            try:
+                bag, kids, a = bags[t], children[t], args[t]
+            except KeyError:
+                unread = [name for name in ("bags", "children", "arg") if t not in getattr(self, name)]
                 v.append(f"node {t} has no {'/'.join(unread)} entry")
                 continue
             # a child that is no bag fails the tree check; here it reads as empty
-            bag, kids, a = self.bags[t], self.children[t], self.arg[t]
             if kind == LEAF:
                 if kids:
                     v.append(f"leaf node {t} has children")
@@ -130,7 +132,7 @@ class NiceTreeDecomposition(TreeDecomposition):
                 if len(kids) != 1:
                     v.append(f"{name} node {t} must have one child")
                     continue
-                child = self.bags.get(kids[0], frozenset())
+                child = bags.get(kids[0], empty)
                 # one rule both ways: the smaller bag lacks a, the larger is it plus a
                 small, large = (child, bag) if kind == INTRO else (bag, child)
                 if a is None or a in small or large != small | {a}:
@@ -139,7 +141,7 @@ class NiceTreeDecomposition(TreeDecomposition):
                 if len(kids) != 2:
                     v.append(f"join node {t} must have two children")
                     continue
-                b1, b2 = (self.bags.get(c, frozenset()) for c in kids)
+                b1, b2 = (bags.get(c, empty) for c in kids)
                 if not bag == b1 == b2:
                     v.append(f"join node {t} bags differ")
             else:
@@ -148,58 +150,64 @@ class NiceTreeDecomposition(TreeDecomposition):
 
 
 def parse_td(text: str):
-    """Parse the textual TD format; type lines make the result nice."""
+    """Parse the textual TD format in one pass over its lines; type lines
+    make the result nice."""
     bags: dict[int, frozenset[str]] = {}
-    edges: list[tuple[int, int]] = []
+    kids: defaultdict[int, list[int]] = defaultdict(list)
+    has_parent: set[int] = set()
+    early: list[tuple[int, int]] = []  # edges read before one of their bags
     types: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts:
             continue
+        directive = parts[0]
         try:
-            if parts[0] == "bag":
+            if directive == "bag":
                 t = int(parts[1])
                 if t in bags:
                     raise InputError(f"line {lineno}: duplicate bag {t}")
                 bags[t] = frozenset(parts[2:])
-            elif parts[0] == "edge":
+            elif directive == "edge":
                 p, c = parts[1:]  # exactly two fields: a ValueError otherwise
-                edges.append((int(p), int(c)))
-            elif parts[0] == "type":
+                p, c = int(p), int(c)
+                if p not in bags or c not in bags:
+                    early.append((p, c))
+                kids[p].append(c)
+                has_parent.add(c)
+            elif directive == "type":
                 t, label = parts[1:]
                 t = int(t)
                 if t in types:
                     raise InputError(f"line {lineno}: duplicate type for node {t}")
                 types[t] = label
-            else:
-                raise InputError(f"line {lineno}: unknown directive {parts[0]!r}")
+            elif not directive.startswith("#"):
+                raise InputError(f"line {lineno}: unknown directive {directive!r}")
         except (IndexError, ValueError) as exc:
             raise InputError(f"line {lineno}: malformed TD line {raw.strip()!r}: {exc}") from None
     if not bags:
         raise InputError("TD file declares no bags")
-    kids: dict[int, list[int]] = {t: [] for t in bags}
-    has_parent = set()
-    for p, c in edges:
+    for p, c in early:  # the first edge in the file that names an undeclared bag
         if p not in bags or c not in bags:
             raise InputError(f"edge ({p},{c}) references an undeclared bag")
-        kids[p].append(c)
-        has_parent.add(c)
-    roots = [t for t in bags if t not in has_parent]
+    roots = bags.keys() - has_parent
     if len(roots) != 1:
         raise InputError(f"TD must have exactly one root, found {sorted(roots)}")
-    root = roots[0]
-    children = {t: tuple(c) for t, c in kids.items()}
+    (root,) = roots
+    children = {t: tuple(kids.get(t, ())) for t in bags}
     if not types:
         return TreeDecomposition(bags, children, root)
     if not types.keys() <= bags.keys():
         raise InputError(f"type lines name undeclared bags {sorted(types.keys() - bags.keys())}")
     kind, arg = {}, {}
     for t in bags:
-        if t not in types:
+        label = types.get(t)
+        if label is None:
             raise InputError(f"nice TD is missing a type for node {t}")
-        kind[t], _, a = types[t].partition(":")
-        if kind[t] not in (LEAF, INTRO, FORGET, JOIN) or (a and kind[t] in (LEAF, JOIN)):
-            raise InputError(f"unknown node type {types[t]!r} for node {t}")
+        k, _, a = label.partition(":")
+        if k not in (LEAF, INTRO, FORGET, JOIN) or (a and k in (LEAF, JOIN)):
+            raise InputError(f"unknown node type {label!r} for node {t}")
+        kind[t] = k
         arg[t] = a or None
     return NiceTreeDecomposition(bags, children, root, kind, arg)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from paftd import PafFormatError, parse_paf, serialize_paf
+from paftd import AF, PAF, GridSpec, PafFormatError, generate_grid, parse_paf, serialize_paf
 from paftd.paffile import format_probability
 
 from conftest import FIXTURES, random_paf
@@ -157,6 +157,11 @@ def test_a_long_exponent_is_rejected_quickly():
         ("arg a 1\nquery a\nquery a\n", "line 3: duplicate query line"),
         ("arg a 1\nset a b\n", "line 2: undeclared set member 'b'"),
         ("arg a 1\nquery b\n", "line 2: undeclared query argument 'b'"),
+        ("arg a 1\narg b 1\narg a 0.5\n", "line 3: duplicate argument 'a'"),
+        ("arg a 1\narg b 1\natt c a 1\n", "line 3: undeclared endpoint 'c'"),
+        ("arg a 1\narg b 1\natt a d 1\n", "line 3: undeclared endpoint 'd'"),
+        ("arg a 1\natt c d 1\n", "line 2: undeclared endpoint 'c'"),
+        ("arg a 1\narg b 1\natt a b 1\natt a b 0.5\n", "line 4: duplicate attack (a,b)"),
     ],
     ids=[
         "arg-fields",
@@ -167,6 +172,11 @@ def test_a_long_exponent_is_rejected_quickly():
         "second-query",
         "set-member",
         "query-argument",
+        "second-argument",
+        "undeclared-source",
+        "undeclared-target",
+        "source-before-target",
+        "second-attack",
     ],
 )
 def test_malformed_line_messages(text, message):
@@ -200,3 +210,45 @@ def test_random_round_trips_are_byte_identical():
         doc = parse_paf(text)
         assert doc.paf == paf
         assert serialize_paf(doc.paf) == text
+
+
+def _assert_same_instance(got, want):
+    """Equal, and equal field by field with the same key order, so nothing
+    the public constructors build differs from what the build step alone does."""
+    assert got == want
+    for name in ("arguments", "attacks"):
+        assert getattr(got.af, name) == getattr(want.af, name)
+    for name in ("_attackers", "_targets"):
+        assert list(getattr(got.af, name).items()) == list(getattr(want.af, name).items())
+    for name in ("arg_prob", "att_prob"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+        assert all(type(p) is Fraction for p in getattr(got, name).values())
+
+
+# the benchmark's grid shapes: dp-replay, long-default and one of oracle-small's
+BENCH_SHAPES = [GridSpec(4, 30, 2), GridSpec(2, 300, 1), GridSpec(3, 3, 2)]
+
+
+def _parity_instances():
+    rnd = random.Random(35)
+    yield from (random_paf(rnd) for _ in range(150))
+    yield from (generate_grid(spec)[0] for spec in BENCH_SHAPES)
+
+
+def test_the_parser_builds_what_the_public_constructors_build():
+    for paf in _parity_instances():
+        # the file lists the arguments in canonical order and the attacks sorted
+        args = {a: paf.arg_prob[a] for a in paf.af.arguments}
+        atts = {r: paf.att_prob[r] for r in sorted(paf.af.attacks)}
+        _assert_same_instance(parse_paf(serialize_paf(paf)).paf, PAF(AF(args, atts), args, atts))
+
+
+def test_without_arguments_builds_what_the_public_constructors_build():
+    rnd = random.Random(36)
+    for paf in _parity_instances():
+        for _ in range(3):
+            removed = frozenset(a for a in paf.af.arguments if rnd.random() < 0.3)
+            keep = [a for a in paf.af.arguments if a not in removed]
+            atts = [r for r in paf.af.attacks if r[0] not in removed and r[1] not in removed]
+            want = PAF(AF(keep, atts), {a: paf.arg_prob[a] for a in keep}, {r: paf.att_prob[r] for r in atts})
+            _assert_same_instance(paf.without_arguments(removed), want)

@@ -419,13 +419,39 @@ def test_unknown_node_kind_is_a_violation():
         ("bag 0\nnode 1\n", "line 2: unknown directive 'node'"),
         ("# only a comment\n", "TD file declares no bags"),
         ("bag 0\nedge 0 1\n", "edge (0,1) references an undeclared bag"),
+        ("bag 0\nedge 2 0\nedge 0 1\n", "edge (2,0) references an undeclared bag"),
+        ("bag 0\nedge 0 1\nbag 1 a\nlink 0 1\n", "line 4: unknown directive 'link'"),
+        ("bag 0\nbag 1\n", "TD must have exactly one root, found [0, 1]"),
+        ("bag 0\nbag 1\nedge 0 1\nedge 1 0\n", "TD must have exactly one root, found []"),
+        ("bag 0\ntype 0 leaf\ntype 3 leaf\ntype 1 leaf\n", "type lines name undeclared bags [1, 3]"),
+        ("bag 0 a\nbag 1\nedge 0 1\ntype 0 forget:a\ntype 1 leaf:a\n", "unknown node type 'leaf:a' for node 1"),
+        ("bag 0\ntype 0 root\n", "unknown node type 'root' for node 0"),
     ],
-    ids=["duplicate-bag", "unknown-directive", "no-bags", "undeclared-edge-end"],
+    ids=[
+        "duplicate-bag",
+        "unknown-directive",
+        "no-bags",
+        "undeclared-edge-end",
+        "first-undeclared-edge",
+        "line-error-before-edge-check",
+        "two-roots",
+        "no-root",
+        "type-of-undeclared-bag",
+        "leaf-with-argument",
+        "unknown-type",
+    ],
 )
 def test_parse_td_messages(text, message):
     with pytest.raises(InputError) as info:
         parse_td(text)
     assert str(info.value) == message
+
+
+def test_parse_td_reads_an_edge_before_its_bags():
+    td = parse_td("# edges first\nedge 0 2\nedge 0 1\nbag 1 a\nbag 0 a\n\nbag 2\n")
+    assert td == TreeDecomposition(
+        {1: frozenset({"a"}), 0: frozenset({"a"}), 2: frozenset()}, {1: (), 0: (2, 1), 2: ()}, 0
+    )
 
 
 def test_validator_names_a_bag_element_that_is_not_an_argument():
@@ -471,3 +497,120 @@ def test_a_malformed_nice_td_is_an_input_error(field, value, violations):
         solve(paf, "com", {"a"}, td=td)
     assert str(info.value) == "invalid tree-decomposition: " + "; ".join(violations)
     assert solve(paf, "com", {"a"}, td=NiceTreeDecomposition(**NICE_A)).value == 1
+
+
+def _reference_violations(td, af):
+    """The validator as it stood when each element's holders were listed one
+    by one: its lists, in their order, are what ``validate`` must return."""
+    v = _reference_tree_violations(td, af)
+    if not isinstance(td, NiceTreeDecomposition):
+        return v
+    if td.root not in td.bags:
+        v.append(f"root {td.root} is not a bag")
+    elif td.bags[td.root]:
+        v.append("root bag is not empty")
+    for t, kind in td.kind.items():
+        unread = [name for name in ("bags", "children", "arg") if t not in getattr(td, name)]
+        if unread:
+            v.append(f"node {t} has no {'/'.join(unread)} entry")
+            continue
+        bag, kids, a = td.bags[t], td.children[t], td.arg[t]
+        if kind == "leaf":
+            if kids:
+                v.append(f"leaf node {t} has children")
+            if bag:
+                v.append(f"leaf node {t} has a non-empty bag")
+        elif kind in ("intro", "forget"):
+            name, verb = ("introduce", "add") if kind == "intro" else ("forget", "drop")
+            if len(kids) != 1:
+                v.append(f"{name} node {t} must have one child")
+                continue
+            child = td.bags.get(kids[0], frozenset())
+            small, large = (child, bag) if kind == "intro" else (bag, child)
+            if a is None or a in small or large != small | {a}:
+                v.append(f"{name} node {t} does not {verb} exactly {a!r}")
+        elif kind == "join":
+            if len(kids) != 2:
+                v.append(f"join node {t} must have two children")
+                continue
+            b1, b2 = (td.bags.get(c, frozenset()) for c in kids)
+            if not bag == b1 == b2:
+                v.append(f"join node {t} bags differ")
+        else:
+            v.append(f"node {t} has unknown kind {kind!r}")
+    return v + [f"node {t} has no type" for t in td.bags if t not in td.kind]
+
+
+def _reference_tree_violations(td, af):
+    try:
+        order = td.post_order()
+    except InputError as exc:
+        return [str(exc)]
+    if set(order) != set(td.bags):
+        return ["tree is not connected or has unreachable nodes"]
+    above = {c: td.bags[t] for t in order for c in td.children.get(t, ())}
+    holders, tops = {}, {}
+    for t in order:
+        for a in td.bags[t]:
+            holders.setdefault(a, set()).add(t)
+            if a not in above.get(t, ()):
+                tops[a] = tops.get(a, 0) + 1
+    v = [f"argument {a} appears in no bag" for a in af.arguments if a not in holders]
+    v += [f"bag element {a} is not an argument" for a in sorted(holders.keys() - set(af.arguments))]
+    for x, y in sorted(af.attacks):
+        if holders.get(x, set()).isdisjoint(holders.get(y, ())):
+            v.append(f"attack ({x},{y}) is covered by no bag")
+    return v + [f"bags containing {a} are not connected" for a in af.arguments if tops.get(a, 0) > 1]
+
+
+def _corrupted(td, rnd, how):
+    """A copy of ``td`` with one fault of the kind ``how``."""
+    bags, children = dict(td.bags), dict(td.children)
+    copy = (
+        NiceTreeDecomposition(bags, children, td.root, dict(td.kind), dict(td.arg))
+        if isinstance(td, NiceTreeDecomposition)
+        else TreeDecomposition(bags, children, td.root)
+    )
+    nodes = sorted(bags)
+    if how == "drop":  # one bag loses an element
+        t = rnd.choice([t for t in nodes if bags[t]] or nodes)
+        bags[t] -= {rnd.choice(sorted(bags[t]) or ["-"])}
+    elif how == "stray":  # one bag gains an argument, or a name that is none
+        bags[rnd.choice(nodes)] |= {rnd.choice([*sorted(set().union(*bags.values())), "zz"])}
+    elif how == "cut":  # one tree edge is gone
+        parents = [t for t in nodes if children.get(t)]
+        if parents:
+            t = rnd.choice(parents)
+            kids = list(children[t])
+            kids.pop(rnd.randrange(len(kids)))
+            children[t] = tuple(kids)
+    elif how == "split":  # a subtree hangs below another node outside it
+        parent = {c: t for t in nodes for c in children.get(t, ())}
+        if parent:
+            c = rnd.choice(sorted(parent))
+            below, stack = set(), [c]
+            while stack:
+                below.add(stack[-1])
+                stack.extend(children.get(stack.pop(), ()))
+            target = rnd.choice([t for t in nodes if t not in below])
+            children[parent[c]] = tuple(k for k in children[parent[c]] if k != c)
+            children[target] = (*children.get(target, ()), c)
+    return copy
+
+
+def test_validate_matches_the_element_by_element_reference():
+    rnd = random.Random(35)
+    hows = ("drop", "stray", "cut", "split")
+    seen = {how: 0 for how in hows}
+    for i in range(150):
+        af = random_paf(rnd, max_args=9).af
+        td = decompose(af, heuristic=HEURISTICS[i % 2])
+        for base in (td, make_nice(td)):
+            assert base.validate(af) == _reference_violations(base, af) == []
+            for how in hows:
+                bad = _corrupted(base, rnd, how)
+                want = _reference_violations(bad, af)
+                assert bad.validate(af) == want, (how, bad)
+                seen[how] += bool(want)
+    # every kind of fault was caught often enough to tell the lists apart
+    assert min(seen.values()) > 100, seen

@@ -14,6 +14,12 @@ median and range of every end-to-end metric of ``BENCHMARK.json``, whether
 every run answered correctly, and the median and values of every per-layer
 figure of the traced runs.  One traced run's figures swing with the host's
 speed; the median of several swings less.
+
+A workload whose untraced ``qps`` rises or falls monotonically over all its
+runs, the last more than ``DRIFT`` (5%) from the first, most likely ran while
+the host changed speed: it gets ``"speed_drift": true`` and a warning on
+standard error, and such a file should be recorded again.  Nothing is
+refused for it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = 5
 TRACED_RUNS = 3
+DRIFT = 0.05
 
 
 def _run(root: Path, workload: str, trace: int) -> dict:
@@ -77,6 +84,14 @@ def _runs(root: Path, names: list[str], trace: int, count: int) -> dict[str, lis
     return runs
 
 
+def speed_drift(values: list[float]) -> bool:
+    """Whether ``values`` rise or fall monotonically and the last is more than
+    ``DRIFT`` from the first."""
+    steps = list(zip(values, values[1:]))
+    monotonic = all(a <= b for a, b in steps) or all(a >= b for a, b in steps)
+    return monotonic and abs(values[-1] - values[0]) > DRIFT * values[0]
+
+
 def record(root: Path, pr: int) -> dict:
     bench = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
@@ -94,9 +109,16 @@ def record(root: Path, pr: int) -> dict:
             values = [r["metrics"][k]["value"] for r in traced[w]]
             per_layer[k] = {"median": statistics.median(values), "unit": v["unit"], "values": values}
         runs_all = plain[w] + traced[w]
+        qps = end_to_end["qps"]["values"]
+        drift = speed_drift(qps)
+        if drift:
+            print(f"warning: {w} qps drifted monotonically over its runs "
+                  f"({', '.join(f'{q:.4g}' for q in qps)}); record this file again",
+                  file=sys.stderr)
         workloads[w] = {
             "correct": all(r["correct"] for r in runs_all),
             "failed": sum(r["failed"] for r in runs_all),
+            "speed_drift": drift,
             "end_to_end": end_to_end,
             "per_layer": per_layer,
         }
