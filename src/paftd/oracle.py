@@ -8,9 +8,9 @@ denominators of the uncertain elements, and an answer is divided once.
 Scenarios are walked in blocks.  For each choice of the uncertain
 arguments, and of the uncertain attacks between present arguments past the
 first ``_BLOCK``, one view walks every choice of those first ``_BLOCK``
-attacks in reflected Gray order, each step toggling one attack in place.  So
-a scenario costs two int XORs, and one view and at most ``2**_BLOCK``
-weights are held at once.
+attacks in reflected Gray order, each step toggling one attack in place
+and moving the weight by one exact division and one product.  So a walk
+holds one view and one weight.
 A query enumerates only the scenarios in which its arguments (the set S, or
 the argument of an acceptance query) are present: S is no extension, and no
 extension holds the argument, of a scenario that lacks one of them.
@@ -44,13 +44,19 @@ ORACLE_SEMANTICS = ("adm", "com", "stb", "grd")
 
 _DEADLINE_STRIDE = 256
 
-# the attacks per argument choice that one view walks in Gray order: their
-# 2**_BLOCK weights are held at once
+# the attacks per argument choice that one view walks in Gray order, with
+# one weight moved along the walk
 _BLOCK = 10
 
-# _RULER[r - 1] is the number of trailing zeros of r, the low attack that
-# Gray step r toggles
-_RULER = [(r & -r).bit_length() - 1 for r in range(1, 1 << _BLOCK)]
+# _STEPS[r - 1] is 2j for Gray step r, which toggles low attack j = ctz(r),
+# when the attack turns present (bit j + 1 of r clear), else 2j + 1
+_STEPS = [2 * j + (r >> j + 1 & 1) for r in range(1, 1 << _BLOCK)
+          for j in [(r & -r).bit_length() - 1]]
+
+# _RUNS[k]: the runs of a block of k low attacks, each (first scenario r,
+# the steps after it) and at most _DEADLINE_STRIDE scenarios long
+_RUNS = [[(r, _STEPS[r:min(r + _DEADLINE_STRIDE, 1 << k) - 1])
+          for r in range(0, 1 << k, _DEADLINE_STRIDE)] for k in range(_BLOCK + 1)]
 
 
 def _check_capacity(paf: PAF, cap: int) -> None:
@@ -62,6 +68,88 @@ def _check_capacity(paf: PAF, cap: int) -> None:
 def _denominator(paf: PAF) -> int:
     """The product of the uncertain elements' denominators (a certain one's is 1)."""
     return prod(p.denominator for p in (*paf.arg_prob.values(), *paf.att_prob.values()))
+
+
+def _blocks(paf: PAF, deadline, required: int):
+    """Yield (view, weight, flips, steps) for every run of scenarios in the
+    order of ``_iter_scenarios``, which walks them.
+
+    The view holds the run's first scenario and the weight is its weight.
+    Each later scenario of the run is one Gray step: ``flips[s]`` for ``s``
+    in ``steps`` is ``(yi, xbit, xi, ybit, div, mul)``, which toggles the
+    attack from argument ``xi`` to argument ``yi`` in the view and sets
+    ``weight = weight // div * mul``.  The division is exact: ``div`` is the
+    factor the attack put into the weight before the step.  A block has at
+    most ``2**_BLOCK`` scenarios, and one of more than ``_DEADLINE_STRIDE``
+    comes in runs of that many, so the deadline is checked at least every
+    ``_DEADLINE_STRIDE`` scenarios.  The view is walked in place: walk a
+    run's steps before drawing the next run.
+    """
+    args = paf.af.arguments
+    probs = [paf.arg_prob[a] for a in args]
+    certain = required | sum(1 << i for i, p in enumerate(probs) if p == 1)
+    w_required = prod(p.numerator for i, p in enumerate(probs) if required >> i & 1)
+    u_args = [(1 << i, p.numerator, p.denominator - p.numerator)
+              for i, p in enumerate(probs) if not certain >> i & 1]
+    index = {a: i for i, a in enumerate(args)}
+    # per attack from xi to yi of probability n/d: its endpoint bits, d, d - n
+    # (0 if certain) and its flips to present and to absent, built once
+    atts = []
+    for x, y in sorted(paf.af.attacks):
+        xi, yi, p = index[x], index[y], paf.att_prob[x, y]
+        n, d = p.numerator, p.denominator
+        flip = (yi, 1 << xi, xi, 1 << yi)
+        atts.append((xi, yi, 1 << xi | 1 << yi, d, d - n, ((*flip, d - n, n), (*flip, n, d - n))))
+    ticks = 0
+    for amask in range(1 << len(u_args)):
+        present, w_args = certain, w_required
+        for i, (bit, n, m) in enumerate(u_args):
+            if amask >> i & 1:
+                present |= bit
+                w_args *= n
+            else:
+                w_args *= m
+        att_of, tgt_of, flips, high = [0] * len(args), [0] * len(args), [], []
+        for xi, yi, ends, d, m, pair in atts:
+            if present & ends != ends:
+                w_args *= d
+            elif not m:
+                att_of[yi] |= 1 << xi
+                tgt_of[xi] |= 1 << yi
+            elif len(flips) < 2 * _BLOCK:
+                flips += pair  # a low attack starts absent
+                w_args *= m
+            else:
+                high.append(pair[1])  # its flip to absent ends in (n, d - n)
+        runs = _RUNS[len(flips) // 2]
+        for hmask in range(1 << len(high)):
+            a_of, t_of, w_high = att_of[:], tgt_of[:], w_args
+            for i, (yi, xbit, xi, ybit, n, m) in enumerate(high):
+                if hmask >> i & 1:
+                    a_of[yi] |= xbit
+                    t_of[xi] |= ybit
+                    w_high *= n
+                else:
+                    w_high *= m
+            view = _Scenario(present, a_of, t_of)
+            for r, steps in runs:
+                ticks += len(steps) + 1
+                if ticks > _DEADLINE_STRIDE:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise BudgetExceeded("oracle enumeration ran out of time")
+                    ticks = len(steps) + 1
+                w = w_high
+                if r:
+                    # the step into scenario r, and the weight of its state
+                    yi, xbit, xi, ybit, _, _ = flips[_STEPS[r - 1]]
+                    a_of[yi] ^= xbit
+                    t_of[xi] ^= ybit
+                    g = r ^ r >> 1  # the low attacks present there
+                    for j in range(len(flips) // 2):
+                        if g >> j & 1:
+                            *_, div, mul = flips[2 * j]
+                            w = w // div * mul
+                yield view, w, flips, steps
 
 
 def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tuple[_Scenario, int]]:
@@ -89,61 +177,15 @@ def _iter_scenarios(paf: PAF, deadline=None, required: int = 0) -> Iterator[tupl
     the unrestricted one with the scenarios that lack a required argument
     left out, in the same order and with the same weights.
     """
-    args = paf.af.arguments
-    probs = [paf.arg_prob[a] for a in args]
-    certain = required | sum(1 << i for i, p in enumerate(probs) if p == 1)
-    w_required = prod(p.numerator for i, p in enumerate(probs) if required >> i & 1)
-    u_args = [(1 << i, p.numerator, p.denominator - p.numerator)
-              for i, p in enumerate(probs) if not certain >> i & 1]
-    index = {a: i for i, a in enumerate(args)}
-    atts = []  # (endpoint bits, xi, yi, n, d) for an attack of probability n/d
-    for x, y in sorted(paf.af.attacks):
-        xi, yi, p = index[x], index[y], paf.att_prob[x, y]
-        atts.append((1 << xi | 1 << yi, xi, yi, p.numerator, p.denominator))
-    ticks = 0
-    for amask in range(1 << len(u_args)):
-        present, w_args = certain, w_required
-        for i, (bit, n, m) in enumerate(u_args):
-            if amask >> i & 1:
-                present |= bit
-                w_args *= n
-            else:
-                w_args *= m
-        att_of, tgt_of, u_atts = [0] * len(args), [0] * len(args), []
-        for ends, xi, yi, n, d in atts:
-            if present & ends != ends:
-                w_args *= d
-            elif n == d:
-                att_of[yi] |= 1 << xi
-                tgt_of[xi] |= 1 << yi
-            else:
-                u_atts.append((xi, yi, n, d - n))
-        low, high = u_atts[:_BLOCK], u_atts[_BLOCK:]
-        # the low block's weights in Gray order, by reflection: the order so
-        # far without the next attack, then the same order reversed with it
-        gray = [1]
-        for xi, yi, n, m in low:
-            gray = [w * m for w in gray] + [w * n for w in reversed(gray)]
-        flips = [(yi, 1 << xi, xi, 1 << yi) for xi, yi, _, _ in low]
-        for hmask in range(1 << len(high)):
-            a_of, t_of, w_high = att_of[:], tgt_of[:], w_args
-            for i, (xi, yi, n, m) in enumerate(high):
-                if hmask >> i & 1:
-                    a_of[yi] |= 1 << xi
-                    t_of[xi] |= 1 << yi
-                    w_high *= n
-                else:
-                    w_high *= m
-            view = _Scenario(present, a_of, t_of)
-            for r, w in enumerate(gray):
-                if r:
-                    yi, xbit, xi, ybit = flips[_RULER[r - 1]]
-                    a_of[yi] ^= xbit
-                    t_of[xi] ^= ybit
-                ticks += 1
-                if deadline is not None and ticks % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
-                    raise BudgetExceeded("oracle enumeration ran out of time")
-                yield view, w_high * w
+    for view, w, flips, steps in _blocks(paf, deadline, required):
+        a_of, t_of = view.att_of, view.tgt_of
+        yield view, w
+        for s in steps:
+            yi, xbit, xi, ybit, div, mul = flips[s]
+            a_of[yi] ^= xbit
+            t_of[xi] ^= ybit
+            w = w // div * mul
+            yield view, w
 
 
 def enumerate_subframeworks(
@@ -297,7 +339,8 @@ class _Scenario:
 
 def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bool):
     """Sum the probabilities (``weighted``) or count the scenarios in which
-    ``holds(scenario, mask of members, sigma)`` is true.
+    ``holds(scenario, mask of members, sigma)`` is true, walking each run of
+    ``_blocks`` in one loop; a count moves no weight.
 
     ``holds`` is false in every scenario that lacks a member, so only the
     scenarios in which every member is present are enumerated."""
@@ -307,9 +350,27 @@ def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bo
     index = {a: i for i, a in enumerate(paf.af.arguments)}
     mask = sum(1 << index[a] for a in paf.af.check_subset(members))
     total = 0
-    for scenario, w in _iter_scenarios(paf, deadline, mask):
-        if holds(scenario, mask, sigma):
-            total += w if weighted else 1
+    for view, w, flips, steps in _blocks(paf, deadline, mask):
+        a_of, t_of = view.att_of, view.tgt_of
+        if weighted:
+            if holds(view, mask, sigma):
+                total += w
+            for s in steps:
+                yi, xbit, xi, ybit, div, mul = flips[s]
+                a_of[yi] ^= xbit
+                t_of[xi] ^= ybit
+                w = w // div * mul
+                if holds(view, mask, sigma):
+                    total += w
+        else:
+            if holds(view, mask, sigma):
+                total += 1
+            for s in steps:
+                yi, xbit, xi, ybit, _, _ = flips[s]
+                a_of[yi] ^= xbit
+                t_of[xi] ^= ybit
+                if holds(view, mask, sigma):
+                    total += 1
     return Fraction(total, _denominator(paf)) if weighted else total
 
 

@@ -90,9 +90,11 @@ with bag-local slots for the live arguments only: an introduce or forget
 of a peeled argument passes its table on.  A row is one int
 ``u | q << shift``, U's bits and Q's (``q ⊆ u``) with ``shift`` past every
 slot, and its int mass may be negative; no witness bit is needed, so a bag
-of k live arguments has at most ``3**k`` rows.  A forget charges the
-argument's weight and its attacks to the bag as above, with per-element
-denominators.
+of k live arguments has at most ``3**k`` rows.  An introduce adds only the
+states whose weight is nonzero (N is 0 when ``n_b`` is, Q under a certain
+self-attack), and none of the rows that a certain attack between bag mates
+gives the factor 0.  A forget charges the argument's weight and its
+attacks to the bag as above, with per-element denominators.
 
 :func:`p_ext` and ``paftd solve`` answer adm and stb by the closed form and
 com by :func:`three_state`, ``paftd solve`` on the instance its forced-label
@@ -270,18 +272,27 @@ def _signed_sum(paf: PAF, live, factors, td: NiceTreeDecomposition, deadline):
     bit = _slots(td, order, live)
     shift = max(bit.values()).bit_length()  # a row is u | q << shift
     weights = {}  # a -> (N, T, Q) numerators and their denominator
+    states = {}  # a -> the row offsets of its states whose numerator is nonzero
     # a -> its attacks as (other endpoint, (source's U bit, target's Q bit, n and d of 1 - p))
     edges: dict[str, list] = {a: [] for a in live}
+    # a -> its certain attacks as (other endpoint, source's U bit, target's Q bit)
+    certain: dict[str, list] = {}
     for a in live:
         n, u, d = factors[a]
         p = paf.att_prob.get((a, a), 0)
         p_n, p_d = p.numerator, p.denominator
-        weights[a] = (n * p_d, u * p_d, -u * (p_d - p_n), d * p_d)
+        weights[a] = w = (n * p_d, u * p_d, -u * (p_d - p_n), d * p_d)
+        offsets = (0, bit[a], bit[a] | bit[a] << shift)
+        # T is never 0 (u_b > 0 for a live argument); N and Q can be
+        states[a] = offsets if w[0] and w[2] else tuple(o for o, w_s in zip(offsets, w) if w_s)
     for (x, y), p in paf.att_prob.items():
         if x != y and x in live and y in live:
             entry = (bit[x], bit[y] << shift, p.denominator - p.numerator, p.denominator)
             edges[x].append((y, entry))
             edges[y].append((x, entry))
+            if p == 1:
+                certain.setdefault(x, []).append((y, *entry[:2]))
+                certain.setdefault(y, []).append((x, *entry[:2]))
 
     tables: dict[int, tuple] = {}  # node -> (rows, denominator)
     for t in order:
@@ -292,8 +303,15 @@ def _signed_sum(paf: PAF, live, factors, td: NiceTreeDecomposition, deadline):
             right, right_den = tables.pop(kids[1])
             rows, den = {s: p * right[s] for s, p in rows.items() if s in right}, den * right_den
         elif a in bit and kind == INTRO:
-            u, uq = bit[a], bit[a] | bit[a] << shift
-            rows = {key: p for s, p in rows.items() for key in (s, s | u, s | uq)}
+            offsets = states[a]
+            mates = a in certain and [(src, dst_q) for b, src, dst_q in certain[a] if b in td.bags[t]]
+            if mates:
+                # a certain attack between a and a bag mate gives the rows
+                # with its source in T or Q and its target in Q the factor 0
+                kills = [(o, _kill(o, mates)) for o in offsets]
+                rows = {s | o: p for s, p in rows.items() for o, kill in kills if not s & kill}
+            else:
+                rows = {s | o: p for s, p in rows.items() for o in offsets}
         elif a in bit and kind == FORGET:
             child_bag = td.bags[kids[0]]
             decided = [entry for b, entry in edges[a] if b in child_bag]
@@ -302,6 +320,19 @@ def _signed_sum(paf: PAF, live, factors, td: NiceTreeDecomposition, deadline):
         tables[t] = rows, den
     rows, den = tables[td.root]
     return rows.get(0, 0), den
+
+
+def _kill(offset: int, mates) -> int:
+    """The bits of a row that kill it with the introduced argument in the
+    state ``offset``: per certain attack ``(source's U bit, target's Q bit)``
+    in ``mates``, the other endpoint's bit if ``offset`` holds its own."""
+    kill = 0
+    for source, target_q in mates:
+        if offset & source:
+            kill |= target_q
+        if offset & target_q:
+            kill |= source
+    return kill
 
 
 def _forget_states(rows, u_bit, q_bit, weights, decided):

@@ -18,8 +18,13 @@ _SPEC.loader.exec_module(bench_record)
         ([100, 101, 102, 103, 104], False),
         ([100, 99, 101, 98, 90], False),
         ([100, 100, 100, 100, 100], False),
+        ([294.9, 292.6, 257.7, 266.0, 267.5], True),
+        ([257.7, 266.0, 294.9, 292.6, 297.5], True),
+        ([100, 80, 100, 100, 100], False),
+        ([100, 100, 96, 97, 96], False),
     ],
-    ids=["falls", "rises", "rises-with-a-tie", "within-5-percent", "not-monotonic", "flat"],
+    ids=["falls", "rises", "rises-with-a-tie", "within-5-percent", "not-monotonic", "flat",
+         "steps-down", "steps-up", "one-outlier", "step-within-5-percent"],
 )
 def test_speed_drift(qps, drift):
     assert bench_record.speed_drift(qps) is drift

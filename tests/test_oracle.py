@@ -31,7 +31,7 @@ from paftd import oracle
 from paftd.oracle import ORACLE_SEMANTICS, _Scenario
 from paftd.paffile import serialize_paf
 
-from conftest import FIXTURES, random_paf, random_subset
+from conftest import COPRIME, FIXTURES, coprime, random_paf, random_subset, tenth
 
 
 @pytest.fixture(scope="module")
@@ -221,50 +221,52 @@ def _bitmask_view(index, present, atts):
 
 
 def test_integer_weights_match_the_fraction_reference():
-    rnd = random.Random(15)
-    for _ in range(300):
-        paf = random_paf(rnd, max_args=6, max_uncertain=10)
-        index = {a: i for i, a in enumerate(paf.af.arguments)}
-        reference = list(_reference_scenarios(paf))
-        assert list(enumerate_subframeworks(paf)) == [
-            (Subframework(present, atts), p) for present, atts, p in reference
-        ]
-        views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
-        S = random_subset(rnd, paf)
-        a = rnd.choice(paf.af.arguments)
-        s_mask, a_bit = sum(1 << index[x] for x in S), 1 << index[a]
-        for sigma in ORACLE_SEMANTICS:
-            ext = [p for view, p in views if view.is_extension(s_mask, sigma)]
-            acc = [p for view, p in views if view.accepts(a_bit, sigma)]
-            assert p_ext_oracle(paf, sigma, S) == sum(ext, Fraction(0))
-            assert count_ext(paf, sigma, S) == len(ext)
-            assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0))
-            assert count_acc(paf, sigma, a) == len(acc)
+    # tenths, and co-prime denominators with n != d - n
+    for draw, seed in ((tenth, 15), (coprime, 17)):
+        rnd = random.Random(seed)
+        for _ in range(300):
+            paf = random_paf(rnd, max_args=6, max_uncertain=10, draw=draw)
+            index = {a: i for i, a in enumerate(paf.af.arguments)}
+            reference = list(_reference_scenarios(paf))
+            assert list(enumerate_subframeworks(paf)) == [
+                (Subframework(present, atts), p) for present, atts, p in reference
+            ]
+            views = [(_bitmask_view(index, present, atts), p) for present, atts, p in reference]
+            S = random_subset(rnd, paf)
+            a = rnd.choice(paf.af.arguments)
+            s_mask, a_bit = sum(1 << index[x] for x in S), 1 << index[a]
+            for sigma in ORACLE_SEMANTICS:
+                ext = [p for view, p in views if view.is_extension(s_mask, sigma)]
+                acc = [p for view, p in views if view.accepts(a_bit, sigma)]
+                assert p_ext_oracle(paf, sigma, S) == sum(ext, Fraction(0))
+                assert count_ext(paf, sigma, S) == len(ext)
+                assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0))
+                assert count_acc(paf, sigma, a) == len(acc)
 
 
-def _block_split_paf():
-    """Certain a0..a5 with ``_BLOCK + 3`` uncertain attacks among them, so
-    every argument choice splits its attack counter at the block, plus two
-    uncertain arguments: u0 adds an uncertain attack when present, u1 only
-    certain ones."""
+def _block_split_paf(probs=tuple(Fraction(k, 10) for k in range(1, 10))):
+    """Certain a0..a5 with ``_BLOCK + 3`` uncertain attacks among them, with
+    the probabilities ``probs`` in turn, so every argument choice splits its
+    attack counter at the block, plus two uncertain arguments: u0 adds an
+    uncertain attack when present, u1 only certain ones."""
     names = [f"a{i}" for i in range(6)]
     pairs = [(x, y) for x in names for y in names if x != y][: oracle._BLOCK + 3]
     af = AF([*names, "u0", "u1"], [*pairs, ("u0", "a0"), ("a1", "u0"), ("u1", "a2")])
     arg_prob = {a: 1 for a in names} | {"u0": Fraction(2, 5), "u1": Fraction(7, 10)}
-    att_prob = {r: Fraction(1 + i % 9, 10) for i, r in enumerate(pairs)}
+    att_prob = {r: probs[i % len(probs)] for i, r in enumerate(pairs)}
     att_prob |= {("u0", "a0"): Fraction(1, 3), ("a1", "u0"): 1, ("u1", "a2"): 1}
     return PAF(af, arg_prob, att_prob)
 
 
 def test_scenarios_across_the_block_split():
-    paf = _block_split_paf()
-    reference = list(_reference_scenarios(paf))
-    # for each choice of u1: 2**13 attack choices without u0, 2**14 with it
-    assert len(reference) == 2 * (2 ** (oracle._BLOCK + 3) + 2 ** (oracle._BLOCK + 4))
-    assert list(enumerate_subframeworks(paf)) == [
-        (Subframework(present, atts), p) for present, atts, p in reference
-    ]
-    _assert_read_in_stream(paf, 0, reference)
+    for paf in (_block_split_paf(), _block_split_paf(COPRIME)):
+        reference = list(_reference_scenarios(paf))
+        # for each choice of u1: 2**13 attack choices without u0, 2**14 with it
+        assert len(reference) == 2 * (2 ** (oracle._BLOCK + 3) + 2 ** (oracle._BLOCK + 4))
+        assert list(enumerate_subframeworks(paf)) == [
+            (Subframework(present, atts), p) for present, atts, p in reference
+        ]
+        _assert_read_in_stream(paf, 0, reference)
 
 
 def _assert_read_in_stream(paf, required, reference):

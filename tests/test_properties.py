@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from paftd import AF, PAF, GridSpec, extensions, generate_grid, grounded_extension, p_ext_oracle, solve
 from paftd.solver import closed_form, three_state
 
+from conftest import dense_paf
+
 SEMANTICS = ("adm", "com", "stb")
 MAX_UNCERTAIN = 8  # keeps the oracle at <= 256 scenarios
 
@@ -196,6 +198,28 @@ def test_grid_dp_matches_the_closed_form(spec):
     for S in (query, query | certain, grounded_extension(paf.af)):
         for sigma in ("adm", "stb"):
             assert dp(paf, sigma, S) == closed_form(paf, sigma, S), (spec, sorted(S), sigma)
+
+
+@st.composite
+def dense_pafs(draw, max_args=10):
+    """A dense-generator instance with at most ``MAX_UNCERTAIN`` uncertain
+    elements, so most attacks are certain, self-attacks among them, and
+    every certain argument that S does not attack has N = 0; S is empty or
+    a random set."""
+    n = draw(st.integers(1, max_args))
+    density = draw(st.sampled_from((0.1, 0.2, 0.3, 0.5)))
+    paf = dense_paf(n, density, draw(st.integers(0, MAX_UNCERTAIN)), draw(st.integers(0, 2**32 - 1)))
+    S = frozenset(a for a in paf.af.arguments if draw(st.booleans())) if draw(st.booleans()) else frozenset()
+    return paf, S
+
+
+@settings(PROPERTY, max_examples=200)
+@given(dense_pafs())
+def test_dense_three_state_matches_the_oracle(case):
+    # dense instances reach the rows that the introduce leaves out: states
+    # of weight 0 and rows a certain attack between bag mates kills
+    paf, S = case
+    assert three_state(paf, S)[0] == p_ext_oracle(paf, "com", S)
 
 
 @settings(PROPERTY, max_examples=100)

@@ -34,7 +34,7 @@ from paftd import solver
 from paftd.cli import run
 from paftd.core import exact_text
 
-from conftest import FIXTURES, random_paf, random_subset
+from conftest import FIXTURES, dense_paf, random_paf, random_subset
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +568,30 @@ def test_three_state_checks_the_deadline_between_nodes(monkeypatch):
     with pytest.raises(BudgetExceeded):
         solver.three_state(paf, S, td=td, deadline=1.0)
     assert len(ticks) == 10
+
+
+def test_a_dense_complete_query_answers_in_bounded_memory(tmp_path):
+    # n=30, d=0.2, u=10: width 16, so a bag holds 3**17 N/T/Q rows unless
+    # the introduce leaves out the states of weight 0 (every certain
+    # argument has N = 0 with S empty) and the rows certain attacks kill
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "dense30.paf"
+    path.write_text(paftd.serialize_paf(dense_paf(30, 0.2, 10)))
+    src = str(Path(paftd.__file__).resolve().parents[1])
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "paftd", "solve", str(path), "--semantics", "complete", "--set", ""],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["answer"] == "1"
 
 
 def test_unsupported_semantics_rejected(cycle5):

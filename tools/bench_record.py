@@ -16,10 +16,12 @@ figure of the traced runs.  One traced run's figures swing with the host's
 speed; the median of several swings less.
 
 A workload whose untraced ``qps`` rises or falls monotonically over all its
-runs, the last more than ``DRIFT`` (5%) from the first, most likely ran while
-the host changed speed: it gets ``"speed_drift": true`` and a warning on
-standard error, and such a file should be recorded again.  Nothing is
-refused for it.
+runs, the last more than ``DRIFT`` (5%) from the first, or steps once, its
+runs splitting into two consecutive groups of at least two runs each with
+every run of one group more than ``DRIFT`` below every run of the other,
+most likely ran while the host changed speed: it gets ``"speed_drift":
+true`` and a warning on standard error, and such a file should be recorded
+again.  Nothing is refused for it.
 """
 
 from __future__ import annotations
@@ -86,10 +88,18 @@ def _runs(root: Path, names: list[str], trace: int, count: int) -> dict[str, lis
 
 def speed_drift(values: list[float]) -> bool:
     """Whether ``values`` rise or fall monotonically and the last is more than
-    ``DRIFT`` from the first."""
+    ``DRIFT`` from the first, or step once: the first ``k`` and the rest, at
+    least two each, with every value of one more than ``DRIFT`` below every
+    value of the other."""
     steps = list(zip(values, values[1:]))
     monotonic = all(a <= b for a, b in steps) or all(a >= b for a, b in steps)
-    return monotonic and abs(values[-1] - values[0]) > DRIFT * values[0]
+    if monotonic and abs(values[-1] - values[0]) > DRIFT * values[0]:
+        return True
+    for k in range(2, len(values) - 1):
+        before, after = values[:k], values[k:]
+        if max(before) < (1 - DRIFT) * min(after) or max(after) < (1 - DRIFT) * min(before):
+            return True
+    return False
 
 
 def record(root: Path, pr: int) -> dict:
@@ -112,7 +122,7 @@ def record(root: Path, pr: int) -> dict:
         qps = end_to_end["qps"]["values"]
         drift = speed_drift(qps)
         if drift:
-            print(f"warning: {w} qps drifted monotonically over its runs "
+            print(f"warning: {w} qps drifted or stepped over its runs "
                   f"({', '.join(f'{q:.4g}' for q in qps)}); record this file again",
                   file=sys.stderr)
         workloads[w] = {
