@@ -4,6 +4,7 @@
 record to stdout; ``generate`` and ``decompose`` print the generated document
 itself (PAF text resp. TD text) so output can be piped straight into a file.
 Exit codes: 0 success, 2 usage error, 3 input error, 4 capacity/timeout.
+A closed stdout ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -338,7 +340,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a pipe's buffered output fails here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: it wants no more output, which is no
+        # failure; fd 1 points at devnull so the interpreter's last flush
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,18 @@ conflict-free and an argument it attacks never joins.  A grounded query
 stops once it is decided: an acceptance query when the argument joins
 (yes) or is attacked (no), an extension query when a round adds an
 argument outside S or attacks one in S (no).
+A P-Acc query under adm, com and grd walks only the sub-PAF of the
+argument's ancestors: the argument and every argument with a directed
+attack path to it.  These semantics are directional (Baroni & Giacomin,
+AIJ 171, 2007): nothing outside the ancestors attacks them, so whether the
+argument is accepted in a scenario depends on that scenario's part within
+them alone, and the choices outside sum to 1.  Stable semantics is not
+directional (a certain odd cycle anywhere leaves no stable extension), and
+a count is no product (how many ways the rest completes depends on which
+ancestors are present), so under stb and for counts the whole instance is
+walked.
 Runtime is exponential in the number of uncertain elements, so a capacity
-cap guards every entry point.
+cap guards every entry point; it counts the whole instance.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .errors import BudgetExceeded, CapacityError, InputError
 DEFAULT_UNCERTAINTY_CAP = 30
 
 ORACLE_SEMANTICS = ("adm", "com", "stb", "grd")
+
+# the semantics under which acceptance reads only the argument's ancestors
+_DIRECTIONAL = ("adm", "com", "grd")
 
 _DEADLINE_STRIDE = 256
 
@@ -337,6 +350,17 @@ class _Scenario:
         return False
 
 
+def _ancestors(af, a: str) -> set[str]:
+    """``a`` and every argument with a directed attack path to it."""
+    seen, todo = {a}, [a]
+    while todo:
+        for x in af.attackers(todo.pop()):
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return seen
+
+
 def _fold(paf: PAF, sigma: str, members, cap: int, deadline, holds, weighted: bool):
     """Sum the probabilities (``weighted``) or count the scenarios in which
     ``holds(scenario, mask of members, sigma)`` is true, walking each run of
@@ -393,8 +417,21 @@ def p_acc_oracle(
     deadline=None,
 ) -> Fraction:
     """Probability that ``a`` is credulously accepted: some sigma-extension
-    contains it (for ``grd``, it is in the grounded extension)."""
+    contains it (for ``grd``, it is in the grounded extension).
+
+    Under adm, com and grd the sum runs over the sub-PAF of ``a``'s
+    ancestors (``a`` and every argument with a directed attack path to it).
+    These semantics are directional (Baroni & Giacomin, AIJ 171, 2007): no
+    attack enters the ancestors from outside, so acceptance in a scenario
+    depends only on its part within them, and the choices outside sum to 1.
+    The cap still counts the whole instance.  Under stb the whole instance
+    is walked: a certain odd cycle anywhere leaves no stable extension."""
     holds = partial(_Scenario.accepts, deadline=deadline)
+    if sigma in _DIRECTIONAL:
+        _check_capacity(paf, cap)
+        keep = _ancestors(paf.af, *paf.af.check_subset((a,)))
+        if len(keep) < len(paf.af.arguments):
+            paf = paf.without_arguments([x for x in paf.af.arguments if x not in keep])
     return _fold(paf, sigma, (a,), cap, deadline, holds, weighted=True)
 
 
@@ -417,6 +454,10 @@ def count_acc(
     deadline=None,
 ) -> int:
     """Number of scenarios in which ``a`` is credulously accepted: some
-    sigma-extension contains it (for ``grd``, it is in the grounded extension)."""
+    sigma-extension contains it (for ``grd``, it is in the grounded extension).
+
+    Unlike ``p_acc_oracle``, this walks the whole instance under every
+    semantics: a count is no product over the ancestors and the rest, since
+    how many ways the rest completes depends on which ancestors are present."""
     holds = partial(_Scenario.accepts, deadline=deadline)
     return _fold(paf, sigma, (a,), cap, deadline, holds, weighted=False)

@@ -360,6 +360,21 @@ def test_empty_instance_still_checks_the_order(tmp_path, argv, capsys):
         assert capsys.readouterr().out == "bag 0\n"
 
 
+@pytest.mark.parametrize("argv", [["oracle", CYCLE5, "--ext", "a,c,e"], ["decompose", CYCLE5]])
+def test_a_closed_stdout_ends_quietly(argv):
+    # the pipe's read end is closed before the command starts, so its first
+    # write (or the flush of its buffered output) meets a broken pipe
+    src = str(Path(paftd.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "paftd", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_importing_the_cli_does_not_import_numpy():
     # numpy serves only `generate` and `decompose --seed`, which import it
     src = str(Path(paftd.__file__).resolve().parents[1])

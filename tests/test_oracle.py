@@ -15,12 +15,14 @@ from paftd import (
     PAF,
     BudgetExceeded,
     CapacityError,
+    GridSpec,
     InputError,
     Subframework,
     count_acc,
     count_ext,
     enumerate_subframeworks,
     extensions,
+    generate_grid_document,
     grounded_extension,
     p_acc_oracle,
     p_ext_oracle,
@@ -160,6 +162,10 @@ def test_entry_point_contract(fn, never, hit, expected, unknown):
     big = PAF(AF(names), {a: Fraction(1, 2) for a in names}, {})
     with pytest.raises(CapacityError):
         fn(big, "com", unknown)
+    # b's ancestors hold one uncertain element, but the cap counts the instance's 31
+    for sigma in ORACLE_SEMANTICS:
+        with pytest.raises(CapacityError):
+            fn(big, sigma, hit)
     with pytest.raises(InputError, match="semantics"):
         fn(big, "pref", unknown)
 
@@ -375,16 +381,52 @@ def _subset_accepts(view, abit, sigma):
 
 def test_acceptance_matches_the_subset_search():
     rnd = random.Random(16)
+    pairs = cut = 0
     for _ in range(300):
         paf = random_paf(rnd, max_args=6, max_uncertain=8)
         index = {a: i for i, a in enumerate(paf.af.arguments)}
         views = [(_bitmask_view(index, present, atts), p)
                  for present, atts, p in _reference_scenarios(paf)]
         for a in paf.af.arguments:
+            pairs += 1
+            cut += len(oracle._ancestors(paf.af, a)) < len(paf.af.arguments)
             for sigma in ORACLE_SEMANTICS:
                 acc = [p for view, p in views if _subset_accepts(view, 1 << index[a], sigma)]
                 assert p_acc_oracle(paf, sigma, a) == sum(acc, Fraction(0)), (paf, a, sigma)
                 assert count_acc(paf, sigma, a) == len(acc), (paf, a, sigma)
+    # most pairs are answered on a sub-PAF of the argument's ancestors
+    assert cut >= 500, (cut, pairs)
+
+
+def _with_certain_3_cycle(paf):
+    """``paf`` with the certain cycle z1 -> z2 -> z3 -> z1 beside it."""
+    zs = ["z1", "z2", "z3"]
+    cycle = list(zip(zs, zs[1:] + zs[:1]))
+    af = AF([*paf.af.arguments, *zs], [*paf.af.attacks, *cycle])
+    return PAF(af, {**paf.arg_prob, **dict.fromkeys(zs, 1)}, {**paf.att_prob, **dict.fromkeys(cycle, 1)})
+
+
+def _assert_acceptance_reads_only_ancestors(paf):
+    cycled = _with_certain_3_cycle(paf)
+    for a in paf.af.arguments:
+        for sigma in ("adm", "com", "grd"):
+            assert p_acc_oracle(cycled, sigma, a) == p_acc_oracle(paf, sigma, a), (paf, a, sigma)
+        # stable semantics is not directional: the odd cycle leaves no stable extension
+        assert p_acc_oracle(cycled, "stb", a) == 0, (paf, a)
+
+
+def test_acceptance_reads_only_the_arguments_ancestors():
+    grid = parse_paf(generate_grid_document(GridSpec(3, 3, 2))).paf
+    # nothing attacks a1_2, so each semantics but stb accepts it exactly when it is present
+    assert grid.af.attackers("a1_2") == frozenset()
+    for sigma in ("grd", "com"):
+        assert p_acc_oracle(grid, sigma, "a1_2") == Fraction(9, 10)
+    assert p_acc_oracle(grid, "stb", "a1_2") == Fraction(9, 10)
+    assert p_acc_oracle(_with_certain_3_cycle(grid), "stb", "a1_2") == 0
+    _assert_acceptance_reads_only_ancestors(grid)
+    rnd = random.Random(38)
+    for _ in range(50):
+        _assert_acceptance_reads_only_ancestors(random_paf(rnd, max_args=6, max_uncertain=8))
 
 
 def test_acceptance_on_a_deep_chain():
